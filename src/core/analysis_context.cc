@@ -74,10 +74,6 @@ const LockPostingIndex& AnalysisContext::lock_postings() {
   return *postings_;
 }
 
-void AnalysisContext::SeedRules(std::vector<DerivationResult> rules) {
-  std::call_once(rules_once_, [&] { rules_ = std::move(rules); });
-}
-
 std::vector<DerivationResult> AnalysisContext::TakeRules() {
   rules();
   return std::move(rules_);

@@ -122,12 +122,6 @@ class AnalysisContext {
   // Per-lock-class posting lists over interned sequences.
   const LockPostingIndex& lock_postings();
 
-  // Adopts pre-derived rules (e.g. from a completed PipelineResult) as the
-  // memoized rule set. A no-op if rules() was already built; call before
-  // first use. The seeded rules must come from this snapshot with the same
-  // derivator options, or pass outputs will disagree with a fresh context.
-  void SeedRules(std::vector<DerivationResult> rules);
-
   // Moves the memoized rule set out (deriving first if needed); the context
   // must not be used afterwards. For one-shot callers like AnalyzeSnapshot.
   std::vector<DerivationResult> TakeRules();

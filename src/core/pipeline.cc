@@ -68,27 +68,31 @@ std::string PipelineTimings::ToJson() const {
   return out;
 }
 
-AnalysisSnapshot BuildSnapshot(const Trace& trace, const TypeRegistry& registry,
-                               const PipelineOptions& options, PipelineTimings* timings) {
-  AnalysisSnapshot snapshot;
-  ThreadPool pool(options.jobs);
+AnalysisSnapshot ImportDatabase(const Trace& trace, const TypeRegistry& registry,
+                                const PipelineOptions& options, ThreadPool* pool,
+                                PipelineTimings* timings) {
   if (timings != nullptr) {
-    timings->jobs = pool.thread_count();
+    timings->jobs = pool->thread_count();
   }
-
+  AnalysisSnapshot snapshot;
   auto t0 = Clock::now();
   TraceImporter importer(&registry, options.filter);
-  snapshot.import_stats = importer.Import(trace, &snapshot.db, &pool);
+  snapshot.import_stats = importer.Import(trace, &snapshot.db, pool);
   snapshot.trace_stats = ComputeTraceStats(trace);
-  auto t1 = Clock::now();
   if (timings != nullptr) {
-    timings->Add("database import", Seconds(t0, t1), snapshot.import_stats.events);
+    timings->Add("database import", Seconds(t0, Clock::now()), snapshot.import_stats.events);
   }
+  return snapshot;
+}
 
+AnalysisSnapshot BuildSnapshot(const Trace& trace, const TypeRegistry& registry,
+                               const PipelineOptions& options, PipelineTimings* timings) {
+  ThreadPool pool(options.jobs);
+  AnalysisSnapshot snapshot = ImportDatabase(trace, registry, options, &pool, timings);
+  auto t1 = Clock::now();
   snapshot.observations = ExtractObservations(snapshot.db, registry, &pool);
-  auto t2 = Clock::now();
   if (timings != nullptr) {
-    timings->Add("observation extraction", Seconds(t1, t2),
+    timings->Add("observation extraction", Seconds(t1, Clock::now()),
                  snapshot.import_stats.accesses_kept);
   }
   return snapshot;

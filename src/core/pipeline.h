@@ -84,11 +84,11 @@ struct PipelineTimings {
   std::shared_ptr<std::mutex> mu_ = std::make_shared<std::mutex>();
 };
 
-// Keeps the bytes behind a zero-copy snapshot load alive: the v2 .lockdb
+// Keeps the bytes behind a zero-copy snapshot load alive: the .lockdb
 // loader attaches table columns as views into an mmap-ed file (or an
 // aligned in-memory buffer), and the AnalysisSnapshot pins the backing so
 // those views stay valid for the snapshot's lifetime. Null for snapshots
-// built from a trace or loaded from v1 files (fully owned storage).
+// built from a trace (fully owned storage).
 struct SnapshotBacking {
   virtual ~SnapshotBacking() = default;
   std::string_view bytes;
@@ -104,7 +104,7 @@ struct AnalysisSnapshot {
   ImportStats import_stats;
   TraceStats trace_stats;
   ObservationStore observations;
-  // Set by the zero-copy .lockdb v2 load path; see SnapshotBacking.
+  // Set by the zero-copy .lockdb load path; see SnapshotBacking.
   std::shared_ptr<const SnapshotBacking> backing;
 };
 
@@ -113,6 +113,15 @@ struct PipelineResult {
   std::vector<DerivationResult> rules;
   PipelineTimings timings;
 };
+
+// The import half of stage 1: database import plus trace statistics into a
+// fresh snapshot whose observations are still empty, run on `pool`. Records
+// the pool's lane count as timings->jobs and appends the "database import"
+// phase. BuildSnapshot and BuildAndSaveSnapshot (src/core/snapshot.h) both
+// start here.
+AnalysisSnapshot ImportDatabase(const Trace& trace, const TypeRegistry& registry,
+                                const PipelineOptions& options, ThreadPool* pool,
+                                PipelineTimings* timings = nullptr);
 
 // Stage 1 (ingest): database import + observation extraction. Appends the
 // "database import" and "observation extraction" phases to `timings` when

@@ -202,15 +202,4 @@ std::string RenderReport(AnalysisContext& context, const ReportOptions& options)
   return RenderReportText(BuildReportDocument(context, options));
 }
 
-std::string RenderReport(const TypeRegistry& registry, const PipelineResult& result,
-                         const ReportOptions& options) {
-  // Serial one-shot context; output is byte-identical at any jobs value, so
-  // a single thread keeps this convenience path lightweight.
-  AnalysisOptions context_options;
-  context_options.pipeline.jobs = 1;
-  AnalysisContext context(&result.snapshot, &registry, std::move(context_options));
-  context.SeedRules(result.rules);  // Copies; `result` stays usable.
-  return RenderReport(context, options);
-}
-
 }  // namespace lockdoc

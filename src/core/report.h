@@ -45,14 +45,6 @@ ReportDocument BuildReportDocument(AnalysisContext& context,
 // The document's text rendering — byte-identical to the pre-IR renderer.
 std::string RenderReport(AnalysisContext& context, const ReportOptions& options = {});
 
-// Legacy convenience overload: renders from a completed pipeline result by
-// wrapping it in a one-shot context seeded with the result's rules. The
-// snapshot is self-contained (it carries the trace statistics and resolves
-// its own strings), so the original trace is not needed; `registry` must be
-// the one `result` was produced with.
-std::string RenderReport(const TypeRegistry& registry, const PipelineResult& result,
-                         const ReportOptions& options = {});
-
 }  // namespace lockdoc
 
 #endif  // SRC_CORE_REPORT_H_

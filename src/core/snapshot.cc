@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <set>
 #include <thread>
@@ -74,10 +75,9 @@ bool GetStats(ByteCursor& in, Stats* stats, uint64_t Stats::*const (&fields)[N])
   return true;
 }
 
-std::string EncodeMetaSection(const AnalysisSnapshot& snapshot, size_t type_count,
-                              uint64_t format_version) {
+std::string EncodeMetaSection(const AnalysisSnapshot& snapshot, size_t type_count) {
   std::string payload;
-  PutVarint(payload, format_version);
+  PutVarint(payload, kSnapshotFormatVersionV2);
   PutStats(payload, snapshot.import_stats, kImportStatsFields);
   PutStats(payload, snapshot.trace_stats, kTraceStatsFields);
   PutVarint(payload, type_count);
@@ -85,16 +85,16 @@ std::string EncodeMetaSection(const AnalysisSnapshot& snapshot, size_t type_coun
 }
 
 Status DecodeMetaSection(std::string_view payload, const TypeRegistry& registry,
-                         uint64_t expected_version, AnalysisSnapshot* snapshot) {
+                         AnalysisSnapshot* snapshot) {
   ByteCursor in{payload.data(), payload.size(), 0};
   uint64_t version = 0;
   if (!GetVarint(in, &version)) {
     return Status::Error("snapshot meta: unreadable version");
   }
-  if (version != expected_version) {
+  if (version != kSnapshotFormatVersionV2) {
     return Status::Error(StrFormat("snapshot meta: format version %llu, this container reads %llu",
                                    static_cast<unsigned long long>(version),
-                                   static_cast<unsigned long long>(expected_version)));
+                                   static_cast<unsigned long long>(kSnapshotFormatVersionV2)));
   }
   if (!GetStats(in, &snapshot->import_stats, kImportStatsFields)) {
     return Status::Error("snapshot meta: bad import stats");
@@ -158,50 +158,7 @@ Status DecodePoolSection(std::string_view payload, LockClassPool* pool) {
   return Status::Ok();
 }
 
-std::string EncodeSeqsSection(const ObservationStore& store) {
-  std::string payload;
-  PutVarint(payload, store.distinct_seqs());
-  for (uint32_t i = 0; i < store.distinct_seqs(); ++i) {
-    const IdSeq& seq = store.id_seq(i);
-    PutVarint(payload, seq.size());
-    for (LockId id : seq) {
-      PutVarint(payload, id);
-    }
-  }
-  return payload;
-}
-
-Status DecodeSeqsSection(std::string_view payload, size_t pool_size,
-                         std::vector<IdSeq>* id_seqs) {
-  ByteCursor in{payload.data(), payload.size(), 0};
-  uint64_t count = 0;
-  if (!GetVarint(in, &count) || count > in.remaining() + 1) {
-    return Status::Error("snapshot seqs: bad sequence count");
-  }
-  id_seqs->reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    uint64_t length = 0;
-    if (!GetVarint(in, &length) || length > in.remaining()) {
-      return Status::Error("snapshot seqs: bad sequence length");
-    }
-    IdSeq seq;
-    seq.reserve(length);
-    for (uint64_t j = 0; j < length; ++j) {
-      uint64_t id = 0;
-      if (!GetVarint(in, &id) || id >= pool_size) {
-        return Status::Error("snapshot seqs: lock id out of range");
-      }
-      seq.push_back(static_cast<LockId>(id));
-    }
-    id_seqs->push_back(std::move(seq));
-  }
-  if (in.remaining() != 0) {
-    return Status::Error("snapshot seqs: trailing bytes");
-  }
-  return Status::Ok();
-}
-
-// v2 seqs section: columnar fixed-width arrays instead of varints —
+// Seqs section: columnar fixed-width arrays —
 //   u64 seq_count | u64 total_ids | u32 len[seq_count] | u32 ids[total_ids]
 // Decoding is a bounds-checked linear sweep with no varint branches.
 std::string EncodeSeqsSectionV2(const ObservationStore& store) {
@@ -262,92 +219,7 @@ Status DecodeSeqsSectionV2(std::string_view payload, size_t pool_size,
   return Status::Ok();
 }
 
-std::string EncodeGroupsSection(const ObservationStore& store) {
-  std::string payload;
-  PutVarint(payload, store.groups().size());
-  for (const auto& [key, groups] : store.groups()) {
-    PutVarint(payload, key.type);
-    PutVarint(payload, key.subclass);
-    PutVarint(payload, key.member);
-    PutVarint(payload, groups.size());
-    for (const ObservationGroup& group : groups) {
-      PutVarint(payload, group.lockseq_id);
-      PutVarint(payload, group.txn_id);
-      PutVarint(payload, group.alloc_id);
-      PutVarint(payload, group.n_reads);
-      PutVarint(payload, group.n_writes);
-      PutVarint(payload, group.seqs.size());
-      for (uint64_t seq : group.seqs) {
-        PutVarint(payload, seq);
-      }
-    }
-  }
-  return payload;
-}
-
-Status DecodeGroupsSection(std::string_view payload, const TypeRegistry& registry,
-                           size_t seq_count,
-                           std::map<MemberObsKey, std::vector<ObservationGroup>>* groups) {
-  ByteCursor in{payload.data(), payload.size(), 0};
-  uint64_t key_count = 0;
-  if (!GetVarint(in, &key_count) || key_count > in.remaining() + 1) {
-    return Status::Error("snapshot groups: bad key count");
-  }
-  MemberObsKey previous;
-  for (uint64_t i = 0; i < key_count; ++i) {
-    uint64_t type = 0, subclass = 0, member = 0, group_count = 0;
-    if (!GetVarint(in, &type) || !GetVarint(in, &subclass) || !GetVarint(in, &member) ||
-        !GetVarint(in, &group_count)) {
-      return Status::Error("snapshot groups: bad key");
-    }
-    MemberObsKey key;
-    key.type = static_cast<TypeId>(type);
-    key.subclass = static_cast<SubclassId>(subclass);
-    key.member = static_cast<MemberIndex>(member);
-    if (type >= registry.type_count() ||
-        member >= registry.layout(key.type).member_count()) {
-      return Status::Error("snapshot groups: key out of registry range");
-    }
-    if (i > 0 && !(previous < key)) {
-      return Status::Error("snapshot groups: keys out of order");
-    }
-    previous = key;
-    if (group_count > in.remaining()) {
-      return Status::Error("snapshot groups: bad group count");
-    }
-    std::vector<ObservationGroup> member_groups;
-    member_groups.reserve(group_count);
-    for (uint64_t g = 0; g < group_count; ++g) {
-      ObservationGroup group;
-      uint64_t lockseq = 0, n_reads = 0, n_writes = 0, seq_len = 0;
-      if (!GetVarint(in, &lockseq) || lockseq >= seq_count ||
-          !GetVarint(in, &group.txn_id) || !GetVarint(in, &group.alloc_id) ||
-          !GetVarint(in, &n_reads) || !GetVarint(in, &n_writes) ||
-          !GetVarint(in, &seq_len) || seq_len > in.remaining()) {
-        return Status::Error("snapshot groups: bad group");
-      }
-      group.lockseq_id = static_cast<uint32_t>(lockseq);
-      group.n_reads = static_cast<uint32_t>(n_reads);
-      group.n_writes = static_cast<uint32_t>(n_writes);
-      group.seqs.reserve(seq_len);
-      for (uint64_t s = 0; s < seq_len; ++s) {
-        uint64_t seq = 0;
-        if (!GetVarint(in, &seq)) {
-          return Status::Error("snapshot groups: bad access seq");
-        }
-        group.seqs.push_back(seq);
-      }
-      member_groups.push_back(std::move(group));
-    }
-    groups->emplace(key, std::move(member_groups));
-  }
-  if (in.remaining() != 0) {
-    return Status::Error("snapshot groups: trailing bytes");
-  }
-  return Status::Ok();
-}
-
-// v2 groups section: one struct-of-arrays block (all little-endian) —
+// Groups section: one struct-of-arrays block (all little-endian) —
 //   u64 key_count K | u64 group_count G | u64 seq_total S
 //   u32 type[K] | u32 subclass[K] | u32 member[K] | u32 groups_per_key[K]
 //   u32 lockseq[G] | u32 n_reads[G] | u32 n_writes[G]
@@ -484,7 +356,7 @@ Status DecodeGroupsSectionV2(std::string_view payload, const TypeRegistry& regis
   return Status::Ok();
 }
 
-// Owned aligned backing for in-memory v2 deserialization: std::string data
+// Owned aligned backing for in-memory deserialization: std::string data
 // has no alignment guarantee, so the bytes are copied once into a
 // uint64-aligned buffer the views can point into.
 struct OwnedBacking : SnapshotBacking {
@@ -496,16 +368,47 @@ struct MappedBacking : SnapshotBacking {
   MappedFile file;
 };
 
-// Shared decode across container versions; `backing` is non-null when
-// numeric table columns may be attached as views into `bytes`.
+// The fixed section order both writers emit (and DeserializeImpl
+// enforces): meta, strings, one table per database table in name order,
+// then the kObservationSections that encode the extracted observations —
+// pool, seqs, groups. Encoders read `snapshot` when called, so the head can
+// be encoded while the observations are still being extracted.
+struct SectionSpec {
+  SnapshotSectionType type;
+  std::function<std::string()> encode;
+};
+constexpr size_t kObservationSections = 3;
+
+std::vector<SectionSpec> SectionOrder(const AnalysisSnapshot& snapshot,
+                                      const TypeRegistry& registry) {
+  std::vector<SectionSpec> order;
+  order.push_back({kSnapshotSectionMeta, [&snapshot, type_count = registry.type_count()] {
+                     return EncodeMetaSection(snapshot, type_count);
+                   }});
+  order.push_back(
+      {kSnapshotSectionStrings, [&snapshot] { return EncodeStringsSection(snapshot.db.strings()); }});
+  for (const std::string& name : snapshot.db.TableNames()) {
+    order.push_back({kSnapshotSectionTable, [&snapshot, name] {
+                       return EncodeTableSectionV2(snapshot.db.table(name));
+                     }});
+  }
+  order.push_back({kSnapshotSectionPool,
+                   [&snapshot] { return EncodePoolSection(snapshot.observations.pool()); }});
+  order.push_back(
+      {kSnapshotSectionSeqs, [&snapshot] { return EncodeSeqsSectionV2(snapshot.observations); }});
+  order.push_back({kSnapshotSectionGroups,
+                   [&snapshot] { return EncodeGroupsSectionV2(snapshot.observations); }});
+  return order;
+}
+
+// Decodes `bytes`, whose numeric table columns are attached as views into
+// `backing` (which must hold exactly these bytes).
 Result<AnalysisSnapshot> DeserializeImpl(std::string_view bytes, const TypeRegistry& registry,
                                          const SnapshotLoadOptions& options,
                                          std::shared_ptr<const SnapshotBacking> backing) {
-  uint64_t container_version = SnapshotContainerVersion(bytes);
-  SnapshotScanMode mode = (container_version == 2 && !options.verify_payload_crcs)
-                              ? SnapshotScanMode::kVerifyHeaders
-                              : SnapshotScanMode::kVerifyAll;
-  Result<std::vector<SnapshotSection>> scan = ScanSnapshotSections(bytes, mode);
+  Result<std::vector<SnapshotSection>> scan =
+      ScanSnapshotSections(bytes, options.verify_payload_crcs ? SnapshotScanMode::kVerifyAll
+                                                              : SnapshotScanMode::kVerifyHeaders);
   if (!scan.ok()) {
     return scan.status();
   }
@@ -520,8 +423,6 @@ Result<AnalysisSnapshot> DeserializeImpl(std::string_view bytes, const TypeRegis
       sections.push_back(section);
     }
   }
-  const bool v2 = container_version == 2;
-  const uint64_t meta_version = v2 ? kSnapshotFormatVersionV2 : kSnapshotFormatVersion;
 
   // Enforce the fixed section order: meta, strings, table*, pool, seqs,
   // groups.
@@ -529,7 +430,7 @@ Result<AnalysisSnapshot> DeserializeImpl(std::string_view bytes, const TypeRegis
     return Status::Error("snapshot: missing meta section");
   }
   AnalysisSnapshot snapshot;
-  Status status = DecodeMetaSection(sections[0].payload, registry, meta_version, &snapshot);
+  Status status = DecodeMetaSection(sections[0].payload, registry, &snapshot);
   if (!status.ok()) {
     return status;
   }
@@ -542,9 +443,7 @@ Result<AnalysisSnapshot> DeserializeImpl(std::string_view bytes, const TypeRegis
   }
   size_t index = 2;
   while (index < sections.size() && sections[index].type == kSnapshotSectionTable) {
-    status = v2 ? DecodeTableSectionV2(sections[index].payload,
-                                       /*zero_copy=*/backing != nullptr, &snapshot.db)
-                : DecodeTableSection(sections[index].payload, &snapshot.db);
+    status = DecodeTableSectionV2(sections[index].payload, /*zero_copy=*/true, &snapshot.db);
     if (!status.ok()) {
       return status;
     }
@@ -559,7 +458,8 @@ Result<AnalysisSnapshot> DeserializeImpl(std::string_view bytes, const TypeRegis
           StrFormat("snapshot: required table '%s' missing (truncated or repaired file?)", name));
     }
   }
-  if (sections.size() - index != 3 || sections[index].type != kSnapshotSectionPool ||
+  if (sections.size() - index != kObservationSections ||
+      sections[index].type != kSnapshotSectionPool ||
       sections[index + 1].type != kSnapshotSectionSeqs ||
       sections[index + 2].type != kSnapshotSectionGroups) {
     return Status::Error("snapshot: sections out of order");
@@ -570,16 +470,12 @@ Result<AnalysisSnapshot> DeserializeImpl(std::string_view bytes, const TypeRegis
     return status;
   }
   std::vector<IdSeq> id_seqs;
-  status = v2 ? DecodeSeqsSectionV2(sections[index + 1].payload, pool.size(), &id_seqs)
-              : DecodeSeqsSection(sections[index + 1].payload, pool.size(), &id_seqs);
+  status = DecodeSeqsSectionV2(sections[index + 1].payload, pool.size(), &id_seqs);
   if (!status.ok()) {
     return status;
   }
   std::map<MemberObsKey, std::vector<ObservationGroup>> groups;
-  status = v2 ? DecodeGroupsSectionV2(sections[index + 2].payload, registry, id_seqs.size(),
-                                      &groups)
-              : DecodeGroupsSection(sections[index + 2].payload, registry, id_seqs.size(),
-                                    &groups);
+  status = DecodeGroupsSectionV2(sections[index + 2].payload, registry, id_seqs.size(), &groups);
   if (!status.ok()) {
     return status;
   }
@@ -591,81 +487,48 @@ Result<AnalysisSnapshot> DeserializeImpl(std::string_view bytes, const TypeRegis
 
 }  // namespace
 
-Result<std::string> SerializeSnapshotBytes(const AnalysisSnapshot& snapshot,
-                                           const TypeRegistry& registry,
-                                           const SnapshotWriteOptions& options) {
-  LOCKDOC_CHECK(options.container_version == 1 || options.container_version == 2);
-  const bool v2 = options.container_version == 2;
-  const std::vector<std::string> names = snapshot.db.TableNames();
+std::string SerializeSnapshot(const AnalysisSnapshot& snapshot, const TypeRegistry& registry,
+                              const SnapshotWriteOptions& options) {
+  const std::vector<SectionSpec> order = SectionOrder(snapshot, registry);
   // Section payloads are independent, so they encode in parallel; the
   // container assembly below stays serial and deterministic.
-  const size_t section_count = names.size() + 5;
-  std::vector<std::string> payloads(section_count);
-  auto encode_one = [&](size_t i) {
-    if (i == 0) {
-      payloads[i] = EncodeMetaSection(snapshot, registry.type_count(),
-                                      v2 ? kSnapshotFormatVersionV2 : kSnapshotFormatVersion);
-    } else if (i == 1) {
-      payloads[i] = EncodeStringsSection(snapshot.db.strings());
-    } else if (i < 2 + names.size()) {
-      const Table& table = snapshot.db.table(names[i - 2]);
-      payloads[i] = v2 ? EncodeTableSectionV2(table) : EncodeTableSection(table);
-    } else if (i == 2 + names.size()) {
-      payloads[i] = EncodePoolSection(snapshot.observations.pool());
-    } else if (i == 3 + names.size()) {
-      payloads[i] =
-          v2 ? EncodeSeqsSectionV2(snapshot.observations) : EncodeSeqsSection(snapshot.observations);
-    } else {
-      payloads[i] = v2 ? EncodeGroupsSectionV2(snapshot.observations)
-                       : EncodeGroupsSection(snapshot.observations);
-    }
-  };
+  std::vector<std::string> payloads(order.size());
   if (options.pool != nullptr) {
-    options.pool->ParallelFor(section_count, [&](size_t begin, size_t end) {
+    options.pool->ParallelFor(order.size(), [&](size_t begin, size_t end) {
       for (size_t i = begin; i < end; ++i) {
-        encode_one(i);
+        payloads[i] = order[i].encode();
       }
     });
   } else {
-    for (size_t i = 0; i < section_count; ++i) {
-      encode_one(i);
+    for (size_t i = 0; i < order.size(); ++i) {
+      payloads[i] = order[i].encode();
     }
   }
-  SnapshotWriter writer(options.container_version);
+  SnapshotWriter writer;
   writer.set_crc_pool(options.pool);
   size_t framed = 0;
   for (const std::string& payload : payloads) {
-    // Upper bound on per-section framing overhead for either version.
-    framed += kSnapshotV2FrameHeaderSize + PaddedPayloadSize(payload.size()) + 16;
+    framed += kSnapshotV2FrameHeaderSize + PaddedPayloadSize(payload.size());
   }
-  writer.Reserve(framed);
-  writer.AddSection(kSnapshotSectionMeta, payloads[0]);
-  writer.AddSection(kSnapshotSectionStrings, payloads[1]);
-  for (size_t i = 0; i < names.size(); ++i) {
-    writer.AddSection(kSnapshotSectionTable, payloads[2 + i]);
+  writer.Reserve(framed + kSnapshotV2FrameHeaderSize + sizeof(uint64_t));  // + end section.
+  for (size_t i = 0; i < order.size(); ++i) {
+    writer.AddSection(order[i].type, payloads[i]);
   }
-  writer.AddSection(kSnapshotSectionPool, payloads[2 + names.size()]);
-  writer.AddSection(kSnapshotSectionSeqs, payloads[3 + names.size()]);
-  writer.AddSection(kSnapshotSectionGroups, payloads[4 + names.size()]);
   return writer.Finish();
 }
 
-std::string SerializeSnapshot(const AnalysisSnapshot& snapshot, const TypeRegistry& registry,
-                              const SnapshotWriteOptions& options) {
-  Result<std::string> bytes = SerializeSnapshotBytes(snapshot, registry, options);
-  LOCKDOC_CHECK(bytes.ok());
-  return std::move(bytes).value();
+Result<std::string> SerializeSnapshotBytes(const AnalysisSnapshot& snapshot,
+                                           const TypeRegistry& registry,
+                                           const SnapshotWriteOptions& options) {
+  return SerializeSnapshot(snapshot, registry, options);
 }
 
 Result<AnalysisSnapshot> DeserializeSnapshot(std::string_view bytes,
                                              const TypeRegistry& registry,
                                              const SnapshotLoadOptions& options) {
-  if (SnapshotContainerVersion(bytes) != 2) {
-    return DeserializeImpl(bytes, registry, options, nullptr);
-  }
-  // v2 numeric columns view into the container bytes; copy them once into
-  // an aligned owned buffer the snapshot keeps alive (a caller's
-  // std::string has no alignment guarantee and no pinned lifetime).
+  // Numeric columns view into the container bytes; copy them once into an
+  // aligned owned buffer the snapshot keeps alive (a caller's std::string
+  // has no alignment guarantee and no pinned lifetime).
   auto backing = std::make_shared<OwnedBacking>();
   backing->buffer = std::make_unique<uint64_t[]>((bytes.size() + 7) / 8);
   std::memcpy(backing->buffer.get(), bytes.data(), bytes.size());
@@ -676,18 +539,17 @@ Result<AnalysisSnapshot> DeserializeSnapshot(std::string_view bytes,
 }
 
 Result<uint64_t> PeekSnapshotTypeCount(const std::string& path) {
-  auto read = ReadFileToString(path);
-  if (!read.ok()) {
-    return read.status();
+  // Mapped, so only the pages the header scan touches are read.
+  Result<MappedFile> mapped = MappedFile::Open(path);
+  if (!mapped.ok()) {
+    return mapped.status();
   }
-  return PeekSnapshotTypeCountFromBytes(read.value());
+  return PeekSnapshotTypeCountFromBytes(mapped.value().bytes());
 }
 
 Result<uint64_t> PeekSnapshotTypeCountFromBytes(std::string_view bytes) {
-  SnapshotScanMode mode = SnapshotContainerVersion(bytes) == 2
-                              ? SnapshotScanMode::kVerifyHeaders
-                              : SnapshotScanMode::kVerifyAll;
-  Result<std::vector<SnapshotSection>> scan = ScanSnapshotSections(bytes, mode);
+  Result<std::vector<SnapshotSection>> scan =
+      ScanSnapshotSections(bytes, SnapshotScanMode::kVerifyHeaders);
   if (!scan.ok()) {
     return scan.status();
   }
@@ -711,30 +573,16 @@ Result<uint64_t> PeekSnapshotTypeCountFromBytes(std::string_view bytes) {
 
 Result<AnalysisSnapshot> BuildAndSaveSnapshot(const Trace& trace, const TypeRegistry& registry,
                                               const PipelineOptions& options,
-                                              const SnapshotWriteOptions& write_options,
                                               const std::string& path,
                                               PipelineTimings* timings) {
-  LOCKDOC_CHECK(write_options.container_version == 1 || write_options.container_version == 2);
-  const bool v2 = write_options.container_version == 2;
   using Clock = std::chrono::steady_clock;
   auto seconds = [](Clock::time_point from, Clock::time_point to) {
     return std::chrono::duration<double>(to - from).count();
   };
 
-  AnalysisSnapshot snapshot;
   ThreadPool pool(options.jobs);
-  if (timings != nullptr) {
-    timings->jobs = pool.thread_count();
-  }
-
-  auto t0 = Clock::now();
-  TraceImporter importer(&registry, options.filter);
-  snapshot.import_stats = importer.Import(trace, &snapshot.db, &pool);
-  snapshot.trace_stats = ComputeTraceStats(trace);
+  AnalysisSnapshot snapshot = ImportDatabase(trace, registry, options, &pool, timings);
   auto t1 = Clock::now();
-  if (timings != nullptr) {
-    timings->Add("database import", seconds(t0, t1), snapshot.import_stats.events);
-  }
 
   AtomicFileWriter file;
   Status io = file.Open(path);
@@ -742,7 +590,7 @@ Result<AnalysisSnapshot> BuildAndSaveSnapshot(const Trace& trace, const TypeRegi
     return io;
   }
 
-  SnapshotWriter writer(write_options.container_version);
+  SnapshotWriter writer;
   size_t flushed = 0;
   auto flush = [&]() -> Status {
     std::string_view pending = writer.pending();
@@ -758,21 +606,12 @@ Result<AnalysisSnapshot> BuildAndSaveSnapshot(const Trace& trace, const TypeRegi
   // runs. The head writer only *reads* the database (encode + CRC); the
   // extraction threads also only read it, so the two proceed without
   // synchronization beyond the join below.
-  const std::vector<std::string> names = snapshot.db.TableNames();
+  const std::vector<SectionSpec> order = SectionOrder(snapshot, registry);
+  const size_t head = order.size() - kObservationSections;
   Status head_io;
   auto write_head = [&]() {
-    writer.AddSection(kSnapshotSectionMeta,
-                      EncodeMetaSection(snapshot, registry.type_count(),
-                                        v2 ? kSnapshotFormatVersionV2 : kSnapshotFormatVersion));
-    writer.AddSection(kSnapshotSectionStrings, EncodeStringsSection(snapshot.db.strings()));
-    head_io = flush();
-    for (const std::string& name : names) {
-      if (!head_io.ok()) {
-        return;
-      }
-      const Table& table = snapshot.db.table(name);
-      writer.AddSection(kSnapshotSectionTable,
-                        v2 ? EncodeTableSectionV2(table) : EncodeTableSection(table));
+    for (size_t i = 0; i < head && head_io.ok(); ++i) {
+      writer.AddSection(order[i].type, order[i].encode());
       head_io = flush();
     }
   };
@@ -804,17 +643,11 @@ Result<AnalysisSnapshot> BuildAndSaveSnapshot(const Trace& trace, const TypeRegi
   // Tail sections depend on the extracted observations. The pool is idle
   // again, so the payload CRCs may use it.
   writer.set_crc_pool(&pool);
-  writer.AddSection(kSnapshotSectionPool, EncodePoolSection(snapshot.observations.pool()));
-  writer.AddSection(kSnapshotSectionSeqs, v2 ? EncodeSeqsSectionV2(snapshot.observations)
-                                             : EncodeSeqsSection(snapshot.observations));
-  writer.AddSection(kSnapshotSectionGroups, v2 ? EncodeGroupsSectionV2(snapshot.observations)
-                                               : EncodeGroupsSection(snapshot.observations));
-  Result<std::string> bytes = writer.Finish();
-  if (!bytes.ok()) {
-    file.Abort();
-    return bytes.status();
+  for (size_t i = head; i < order.size(); ++i) {
+    writer.AddSection(order[i].type, order[i].encode());
   }
-  io = file.Append(std::string_view(bytes.value()).substr(flushed));
+  const std::string bytes = writer.Finish();
+  io = file.Append(std::string_view(bytes).substr(flushed));
   if (!io.ok()) {
     return io;
   }
@@ -826,7 +659,7 @@ Result<AnalysisSnapshot> BuildAndSaveSnapshot(const Trace& trace, const TypeRegi
   if (timings != nullptr) {
     // Only the tail that could not hide behind extraction; the overlapped
     // head writing is already accounted inside the extraction wall time.
-    timings->Add("snapshot save", seconds(t2, t3), bytes.value().size());
+    timings->Add("snapshot save", seconds(t2, t3), bytes.size());
   }
   return snapshot;
 }
@@ -836,11 +669,7 @@ Status SaveSnapshot(const AnalysisSnapshot& snapshot, const TypeRegistry& regist
   // Atomic (temp + fsync + rename): a crash mid-save leaves the previous
   // snapshot intact instead of a half-written .lockdb the checksums would
   // then reject.
-  Result<std::string> bytes = SerializeSnapshotBytes(snapshot, registry, options);
-  if (!bytes.ok()) {
-    return bytes.status();
-  }
-  return WriteFileAtomic(path, bytes.value());
+  return WriteFileAtomic(path, SerializeSnapshot(snapshot, registry, options));
 }
 
 Result<AnalysisSnapshot> LoadSnapshot(const std::string& path, const TypeRegistry& registry,
@@ -852,16 +681,12 @@ Result<AnalysisSnapshot> LoadSnapshot(const std::string& path, const TypeRegistr
   auto backing = std::make_shared<MappedBacking>();
   backing->file = std::move(mapped).value();
   backing->bytes = backing->file.bytes();
-  std::string_view bytes = backing->bytes;
   if (options.verify_payload_crcs) {
     // The CRC sweep is about to read every page front to back; batch the
     // faults. The trusted load skips this so untouched pages never fault.
     backing->file.AdviseSequentialScan();
   }
-  if (SnapshotContainerVersion(bytes) != 2) {
-    // v1 decodes into owned storage; the mapping is released on return.
-    return DeserializeImpl(bytes, registry, options, nullptr);
-  }
+  std::string_view bytes = backing->bytes;
   return DeserializeImpl(bytes, registry, options, std::move(backing));
 }
 

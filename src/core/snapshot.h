@@ -11,13 +11,12 @@
 // the optional thread pool; the concatenation stays serial, preserving the
 // byte-identity contract.
 //
-// Two container versions are written and read (docs/lockdb-format.md):
-// v1 keeps the original varint payloads; v2 (the default) lays out numeric
-// table columns and the observation id-sequences/groups as fixed-width
-// little-endian arrays, 8-byte aligned, so LoadSnapshot can mmap the file
-// and attach table columns as in-place views (zero-copy) instead of
-// decoding them. DeserializeSnapshot falls back to the owned-copy path for
-// v1 files automatically.
+// The container is LOCKDB02 (docs/lockdb-format.md): numeric table columns
+// and the observation id-sequences/groups are fixed-width little-endian
+// arrays, 8-byte aligned, so LoadSnapshot can mmap the file and attach
+// table columns as in-place views (zero-copy) instead of decoding them.
+// Every reader fails a retired LOCKDB01 file with one typed error that
+// says to re-import it from its trace (CheckSnapshotMagic).
 #ifndef SRC_CORE_SNAPSHOT_H_
 #define SRC_CORE_SNAPSHOT_H_
 
@@ -33,46 +32,37 @@
 namespace lockdoc {
 
 struct SnapshotWriteOptions {
-  // 2 writes the zero-copy columnar container, 1 the legacy varint one.
-  uint64_t container_version = 2;
   // When set, section payloads are encoded in parallel (output bytes are
   // identical either way).
   ThreadPool* pool = nullptr;
 };
 
 struct SnapshotLoadOptions {
-  // Verify every payload CRC during the load. On v2 containers this is a
-  // straight CRC32 sweep over the mapped bytes — still far cheaper than a
-  // v1 varint decode — and it is the default because every shipped consumer
-  // (CLI analysis, serve, doctor) promises never to compute on corrupt
-  // bytes. Set to false only when the file is trusted (e.g. written moments
-  // ago by the same process, or benchmarking the pure zero-copy path): the
-  // v2 load then defers table payload CRCs entirely and attaches column
-  // views unchecked. v1 files always verify (their frame CRC covers the
-  // payload).
+  // Verify every payload CRC during the load: a straight CRC32 sweep over
+  // the mapped bytes, and the default because every shipped consumer (CLI
+  // analysis, serve, doctor) promises never to compute on corrupt bytes.
+  // Set to false only when the file is trusted (e.g. written moments ago by
+  // the same process, or benchmarking the pure zero-copy path): the load
+  // then defers table payload CRCs entirely and attaches column views
+  // unchecked.
   bool verify_payload_crcs = true;
 };
 
 // Snapshot -> .lockdb bytes. `registry` is the registry the snapshot was
-// built with; its type count is recorded in the meta section. Fails with a
-// typed error if a section exceeds its container's payload cap (satellite
-// of the 32-bit v1 length field).
+// built with; its type count is recorded in the meta section.
+std::string SerializeSnapshot(const AnalysisSnapshot& snapshot, const TypeRegistry& registry,
+                              const SnapshotWriteOptions& options = {});
+// The same bytes for callers that propagate a Result; serialization itself
+// cannot fail.
 Result<std::string> SerializeSnapshotBytes(const AnalysisSnapshot& snapshot,
                                            const TypeRegistry& registry,
                                            const SnapshotWriteOptions& options = {});
 
-// Convenience wrapper that CHECK-fails on serialization errors; real
-// snapshots sit far below the caps, so callers that just persist a freshly
-// built snapshot use this.
-std::string SerializeSnapshot(const AnalysisSnapshot& snapshot, const TypeRegistry& registry,
-                              const SnapshotWriteOptions& options = {});
-
-// .lockdb bytes -> snapshot (either container version). `registry` must be
-// the registry the snapshot was built with; its type count is verified
-// against the meta section (a snapshot is only meaningful against its own
-// registry). v2 bytes are copied once into an aligned owned buffer so
-// numeric table columns can be viewed in place; use LoadSnapshot to map a
-// file without that copy.
+// .lockdb bytes -> snapshot. `registry` must be the registry the snapshot
+// was built with; its type count is verified against the meta section (a
+// snapshot is only meaningful against its own registry). The bytes are
+// copied once into an aligned owned buffer so numeric table columns can be
+// viewed in place; use LoadSnapshot to map a file without that copy.
 Result<AnalysisSnapshot> DeserializeSnapshot(std::string_view bytes,
                                              const TypeRegistry& registry,
                                              const SnapshotLoadOptions& options = {});
@@ -81,11 +71,13 @@ Result<AnalysisSnapshot> DeserializeSnapshot(std::string_view bytes,
 // without loading (or validating) the rest of the snapshot. Callers use it
 // to pick the matching registry before LoadSnapshot — e.g. a snapshot of an
 // address-space (mm) workload records more types than the base VFS
-// registry.
+// registry. The file is mapped, not read: the scan checks frame headers
+// and the small sections' CRCs, so the bulky table payloads stay untouched.
 Result<uint64_t> PeekSnapshotTypeCount(const std::string& path);
 Result<uint64_t> PeekSnapshotTypeCountFromBytes(std::string_view bytes);
 
-// Ingest + persist in one overlapped pass: imports `trace`, then streams
+// Ingest + persist in one overlapped pass: imports `trace` (ImportDatabase,
+// as BuildSnapshot does), then streams
 // the meta/strings/table sections of the .lockdb file to disk on a writer
 // thread *while* the main thread extracts observations; only the three
 // observation sections wait for extraction. The file is written atomically
@@ -98,15 +90,12 @@ Result<uint64_t> PeekSnapshotTypeCountFromBytes(std::string_view bytes);
 // extraction. On any error `path` is untouched.
 Result<AnalysisSnapshot> BuildAndSaveSnapshot(const Trace& trace, const TypeRegistry& registry,
                                               const PipelineOptions& options,
-                                              const SnapshotWriteOptions& write_options,
                                               const std::string& path,
                                               PipelineTimings* timings = nullptr);
 
 // File conveniences. SaveSnapshot writes atomically (temp + fsync +
-// rename). LoadSnapshot mmaps the file: for v2 containers the mapping
-// becomes the snapshot's backing and numeric columns are zero-copy views
-// into it; v1 containers decode into owned storage and the mapping is
-// released before returning.
+// rename). LoadSnapshot mmaps the file: the mapping becomes the snapshot's
+// backing and numeric columns are zero-copy views into it.
 Status SaveSnapshot(const AnalysisSnapshot& snapshot, const TypeRegistry& registry,
                     const std::string& path, const SnapshotWriteOptions& options = {});
 Result<AnalysisSnapshot> LoadSnapshot(const std::string& path, const TypeRegistry& registry,

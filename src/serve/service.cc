@@ -98,8 +98,7 @@ struct ServeService::Resident {
   // and documented rules must use the same one.
   const TypeRegistry* registry = nullptr;
   // The eviction currency charged against --max-resident-bytes: the mapped
-  // backing size for zero-copy v2 snapshots (their table columns live in
-  // the mmap, not the heap), the on-disk size otherwise.
+  // backing size (the table columns live in the mmap, not the heap).
   uint64_t bytes = 0;
   bool charged = false;  // bytes accounted into resident_bytes_ (store_mu_).
   // In-flight requests currently using this entry (store_mu_). LRU
@@ -123,7 +122,11 @@ struct ServeService::WorkerHandle {
 void ServeService::PinGuard::Release() {
   if (service_ != nullptr && resident_ != nullptr) {
     std::lock_guard<std::mutex> lock(service_->store_mu_);
-    --resident_->pins;
+    if (--resident_->pins == 0) {
+      // Eviction skipped this entry while it was pinned; enforce the bound
+      // now rather than leaving the store over budget until the next load.
+      service_->EnforceResidencyBudgetLocked();
+    }
   }
   service_ = nullptr;
   resident_ = nullptr;
@@ -171,6 +174,11 @@ ServeService::~ServeService() = default;
 ServeStats ServeService::stats() const {
   std::lock_guard<std::mutex> lock(state_mu_);
   return stats_;
+}
+
+size_t ServeService::resident_count() const {
+  std::lock_guard<std::mutex> lock(store_mu_);
+  return residents_.size();
 }
 
 Status ServeService::Recover() {
@@ -392,6 +400,12 @@ bool ServeService::IngestOne(const std::string& source, uint32_t attempts) {
     // snapshot never enters the resident store.
     auto snapshot = DeserializeSnapshot(bytes.value(), *RegistryForSnapshotBytes(bytes.value()));
     if (!snapshot.ok()) {
+      if (SnapshotContainerVersion(bytes.value()) == 1) {
+        return QuarantineIncoming(source, name, "retired-snapshot",
+                                  snapshot.status().message(),
+                                  "re-import from the trace with `lockdoc import`, or drop "
+                                  "the trace itself into incoming/");
+      }
       return QuarantineIncoming(
           source, name, "damaged-snapshot", snapshot.status().message(),
           StrFormat("lockdoc doctor %s --repair %s.lockdb", source.c_str(), name.c_str()));
@@ -746,10 +760,9 @@ void ServeService::LoadResident(const std::shared_ptr<Resident>& resident) {
         StrFormat("no snapshot named '%s' in the resident store", name.c_str());
     return;
   }
-  // Zero-copy load: v2 snapshots keep their table columns in the mapping.
+  // Zero-copy load: snapshots keep their table columns in the mapping.
   // Payload CRCs are verified during the load (the SnapshotLoadOptions
-  // default) — the no-wrong-answer invariant does not bend for speed, and a
-  // CRC sweep over mapped bytes is still far cheaper than a v1 decode.
+  // default) — the no-wrong-answer invariant does not bend for speed.
   const TypeRegistry* registry = registry_;
   if (extended_registry_ != nullptr) {
     auto type_count = PeekSnapshotTypeCount(path);
@@ -767,12 +780,7 @@ void ServeService::LoadResident(const std::shared_ptr<Resident>& resident) {
   }
   resident->registry = registry;
   resident->snapshot = std::make_shared<AnalysisSnapshot>(std::move(snapshot.value()));
-  if (resident->snapshot->backing != nullptr) {
-    resident->bytes = resident->snapshot->backing->bytes.size();
-  } else {
-    auto size = FileSize(path);
-    resident->bytes = size.ok() ? size.value() : 0;
-  }
+  resident->bytes = resident->snapshot->backing->bytes.size();
 
   std::lock_guard<std::mutex> lock(store_mu_);
   resident->load_ok = true;
@@ -844,7 +852,7 @@ void ServeService::EnforceResidencyBudgetLocked() {
       }
     }
     if (victim.empty()) {
-      break;  // Everything evictable is pinned; retry on the next request.
+      break;  // Everything evictable is pinned; retried as the last pin drops.
     }
     {
       std::lock_guard<std::mutex> lock(state_mu_);

@@ -33,8 +33,10 @@
 //     ownership keeps memory valid) and the service keeps answering
 //   - memory guardrails: resident snapshots are LRU-evicted beyond
 //     --max-resident / --max-resident-bytes; entries pinned by an
-//     in-flight request are never evicted mid-answer; oversized traces
-//     are rejected before a byte is parsed
+//     in-flight request are never evicted mid-answer, and the bound is
+//     enforced again as their last pin drops, so it holds whenever no
+//     request is in flight; oversized traces are rejected before a byte
+//     is parsed
 //   - transient I/O failures retry with bounded exponential backoff
 #ifndef SRC_SERVE_SERVICE_H_
 #define SRC_SERVE_SERVICE_H_
@@ -156,6 +158,9 @@ class ServeService {
 
   ServeStats stats() const;
 
+  // Snapshots currently in the resident store (loaded or loading).
+  size_t resident_count() const;
+
   // True while an abandoned (timed-out) worker thread is still running.
   // Waits up to `grace_ms` for them to finish; callers that still see
   // zombies should _exit rather than run static destructors under a live
@@ -244,7 +249,7 @@ class ServeService {
 
   // Guards the resident store: residents_, lru_, resident_bytes_, and
   // every Resident's pins/contexts.
-  std::mutex store_mu_;
+  mutable std::mutex store_mu_;
   std::list<std::string> lru_;  // Front = most recently used.
   std::map<std::string, std::shared_ptr<Resident>> residents_;
   uint64_t resident_bytes_ = 0;

@@ -34,6 +34,8 @@ cp "$DIR/mx.lockdb" "$DIR/mx_damaged.lockdb"
 printf '\377\377\377\377' | dd of="$DIR/mx_damaged.lockdb" bs=1 seek=4000 conv=notrunc 2> /dev/null
 echo garbage > "$DIR/mx_garbage.trace"
 MISSING="$DIR/does_not_exist.trace"
+# A snapshot in the retired LOCKDB01 container (a checked-in fixture).
+RETIRED="$(dirname "$0")/../core/testdata/golden_mini.lockdb"
 
 # Every analysis command: good inputs succeed, damaged and missing fail 1.
 for cmd in stats derive check violations lock-order modes report analyze; do
@@ -70,6 +72,23 @@ expect 1 "$LOCKDOC" doctor "$DIR/mx_damaged.lockdb" --repair "$DIR/mx_repaired.l
   failures=$((failures + 1))
 }
 
+# A retired LOCKDB01 snapshot is unreadable, not damaged: analysis fails,
+# doctor says to re-import from the trace (exit 2), and --repair cannot
+# help either.
+expect 1 "$LOCKDOC" check "$RETIRED"
+expect 2 "$LOCKDOC" doctor "$RETIRED"
+expect 2 "$LOCKDOC" doctor "$RETIRED" --repair "$DIR/mx_retired_fixed.lockdb"
+[ ! -e "$DIR/mx_retired_fixed.lockdb" ] || {
+  echo "FAIL: doctor --repair wrote a repaired copy of a retired snapshot" >&2
+  failures=$((failures + 1))
+}
+"$LOCKDOC" doctor "$RETIRED" > "$DIR/mx_retired_doctor.txt" 2>&1
+grep -q 're-import from the trace with `lockdoc import`' "$DIR/mx_retired_doctor.txt" &&
+  grep -q '^verdict: unreadable$' "$DIR/mx_retired_doctor.txt" || {
+  echo "FAIL: doctor on a retired snapshot did not say to re-import it" >&2
+  failures=$((failures + 1))
+}
+
 # No command line at all / unknown command: usage, exit 2.
 expect 2 "$LOCKDOC"
 expect 2 "$LOCKDOC" frobnicate "$DIR/mx.trace"
@@ -85,6 +104,7 @@ expect 64 "$LOCKDOC" modes "$DIR/mx.trace" --spec
 expect 64 "$LOCKDOC" report "$DIR/mx.trace" --out-dir "$DIR/x"
 expect 64 "$LOCKDOC" simulate --out "$DIR/x.trace" --salvage
 expect 64 "$LOCKDOC" import "$DIR/mx.trace" --out "$DIR/x.lockdb" --bogus-flag
+expect 64 "$LOCKDOC" import "$DIR/mx.trace" --out "$DIR/x.lockdb" --format v2
 expect 64 "$LOCKDOC" doctor "$DIR/mx.trace" --jobs 2
 expect 64 "$LOCKDOC" analyze "$DIR/mx.trace" --unknown-flag 1
 

@@ -10,7 +10,6 @@
 
 #include "src/core/analysis_pass.h"
 #include "src/core/mode_analysis.h"
-#include "src/core/report.h"
 #include "src/core/rule_checker.h"
 #include "src/core/violation_finder.h"
 #include "src/vfs/vfs_kernel.h"
@@ -107,13 +106,6 @@ TEST_F(AnalysisContextTest, ConcurrentFirstUseBuildsOnce) {
   EXPECT_EQ(CountPhase(context.timings(), "rule derivation (interned)"), 1u);
 }
 
-TEST_F(AnalysisContextTest, SeedRulesShortCircuitsDerivation) {
-  AnalysisContext context(snapshot_, sim_->registry.get(), DefaultOptions());
-  context.SeedRules({});
-  EXPECT_TRUE(context.rules().empty());
-  EXPECT_EQ(CountPhase(context.timings(), "rule derivation (interned)"), 0u);
-}
-
 TEST_F(AnalysisContextTest, TakeRulesMovesTheMemoizedSet) {
   AnalysisContext context(snapshot_, sim_->registry.get(), DefaultOptions());
   size_t derived = context.rules().size();
@@ -207,18 +199,6 @@ TEST_F(AnalysisContextTest, IndexedModesMatchPlain) {
   ModeAnalyzer indexed(&snapshot_->db, sim_->registry.get(), &snapshot_->observations,
                        &context.member_access_index(), &context.lock_postings());
   EXPECT_EQ(plain.Render(plain.Analyze(rules)), indexed.Render(indexed.Analyze(rules)));
-}
-
-TEST_F(AnalysisContextTest, ReportOverloadsAgree) {
-  PipelineResult result;
-  result.snapshot = BuildSnapshot(sim_->trace, *sim_->registry, DefaultOptions().pipeline);
-  result.rules = AnalyzeSnapshot(result.snapshot, DefaultOptions().pipeline);
-  ReportOptions options;
-  options.documented_rules_text = VfsKernel::DocumentedRulesText();
-  options.full_documentation = true;
-  std::string legacy = RenderReport(*sim_->registry, result, options);
-  AnalysisContext context(snapshot_, sim_->registry.get(), DefaultOptions());
-  EXPECT_EQ(RenderReport(context, options), legacy);
 }
 
 TEST_F(AnalysisContextTest, RegistryHasCanonicalPassOrder) {

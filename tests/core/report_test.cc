@@ -17,26 +17,31 @@ class ReportTest : public ::testing::Test {
     sim_ = new SimulationResult(SimulateKernelRun(mix, FaultPlan{}));
     PipelineOptions options;
     options.filter = VfsKernel::MakeFilterConfig();
-    result_ = new PipelineResult(RunPipeline(sim_->trace, *sim_->registry, options));
+    snapshot_ = new AnalysisSnapshot(BuildSnapshot(sim_->trace, *sim_->registry, options));
   }
   static void TearDownTestSuite() {
-    delete result_;
+    delete snapshot_;
     delete sim_;
-    result_ = nullptr;
+    snapshot_ = nullptr;
     sim_ = nullptr;
   }
 
+  static std::string Render(const ReportOptions& options) {
+    AnalysisContext context(snapshot_, sim_->registry.get());
+    return RenderReport(context, options);
+  }
+
   static SimulationResult* sim_;
-  static PipelineResult* result_;
+  static AnalysisSnapshot* snapshot_;
 };
 
 SimulationResult* ReportTest::sim_ = nullptr;
-PipelineResult* ReportTest::result_ = nullptr;
+AnalysisSnapshot* ReportTest::snapshot_ = nullptr;
 
 TEST_F(ReportTest, ContainsAllSections) {
   ReportOptions options;
   options.documented_rules_text = VfsKernel::DocumentedRulesText();
-  std::string report = RenderReport(*sim_->registry, *result_, options);
+  std::string report = Render(options);
 
   EXPECT_NE(report.find("trace statistics"), std::string::npos);
   EXPECT_NE(report.find("documented-rule validation"), std::string::npos);
@@ -54,7 +59,7 @@ TEST_F(ReportTest, SectionsAreOptional) {
   ReportOptions options;
   options.lock_order = false;
   options.modes = false;
-  std::string report = RenderReport(*sim_->registry, *result_, options);
+  std::string report = Render(options);
   EXPECT_EQ(report.find("documented-rule validation"), std::string::npos);
   EXPECT_EQ(report.find("lock ordering"), std::string::npos);
   EXPECT_EQ(report.find("acquisition modes"), std::string::npos);
@@ -64,7 +69,7 @@ TEST_F(ReportTest, SectionsAreOptional) {
 TEST_F(ReportTest, FullDocumentationIncludesCommentBlocks) {
   ReportOptions options;
   options.full_documentation = true;
-  std::string report = RenderReport(*sim_->registry, *result_, options);
+  std::string report = Render(options);
   EXPECT_NE(report.find("generated documentation"), std::string::npos);
   EXPECT_NE(report.find("locking rules (generated by LockDoc)"), std::string::npos);
 }

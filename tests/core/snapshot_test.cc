@@ -18,7 +18,9 @@
 namespace lockdoc {
 namespace {
 
-std::string GoldenPath() { return std::string(LOCKDOC_TESTDATA_DIR) + "/golden_mini.lockdb"; }
+std::string GoldenPathV1() {
+  return std::string(LOCKDOC_TESTDATA_DIR) + "/golden_mini.lockdb";
+}
 std::string GoldenPathV2() {
   return std::string(LOCKDOC_TESTDATA_DIR) + "/golden_mini_v2.lockdb";
 }
@@ -96,43 +98,62 @@ TEST(SnapshotTest, ReserializationIsByteIdentical) {
   EXPECT_EQ(SerializeSnapshot(restored.value(), *world.registry), bytes);
 }
 
-// Pins the exact on-disk bytes of BOTH container versions. If this fails,
-// the format changed: bump the corresponding format version and regenerate
-// the fixtures by running this binary with LOCKDOC_REGEN_GOLDEN=1 from the
-// source tree.
+// Pins the exact on-disk bytes. If this fails, the format changed: bump
+// the format version and regenerate the fixture by running this binary with
+// LOCKDOC_REGEN_GOLDEN=1 from the source tree.
 TEST(SnapshotTest, GoldenFixtureBytesArePinned) {
   TestWorld world = MakeWorld();
   AnalysisSnapshot snapshot = BuildSnapshot(world.trace, *world.registry);
-  SnapshotWriteOptions v1;
-  v1.container_version = 1;
-  const std::string bytes_v1 = SerializeSnapshot(snapshot, *world.registry, v1);
-  const std::string bytes_v2 = SerializeSnapshot(snapshot, *world.registry);
+  const std::string bytes = SerializeSnapshot(snapshot, *world.registry);
 
   if (std::getenv("LOCKDOC_REGEN_GOLDEN") != nullptr) {
-    std::ofstream out1(GoldenPath(), std::ios::binary);
-    ASSERT_TRUE(out1.is_open());
-    out1 << bytes_v1;
-    std::ofstream out2(GoldenPathV2(), std::ios::binary);
-    ASSERT_TRUE(out2.is_open());
-    out2 << bytes_v2;
-    GTEST_SKIP() << "regenerated " << GoldenPath() << " and " << GoldenPathV2();
+    std::ofstream out(GoldenPathV2(), std::ios::binary);
+    ASSERT_TRUE(out.is_open());
+    out << bytes;
+    GTEST_SKIP() << "regenerated " << GoldenPathV2();
   }
 
-  for (const auto& [path, bytes] :
-       {std::pair(GoldenPath(), bytes_v1), std::pair(GoldenPathV2(), bytes_v2)}) {
-    std::ifstream in(path, std::ios::binary);
-    ASSERT_TRUE(in.is_open()) << "missing fixture " << path;
-    std::ostringstream golden;
-    golden << in.rdbuf();
-    ASSERT_EQ(bytes.size(), golden.str().size()) << path;
-    EXPECT_EQ(bytes, golden.str()) << path;
+  std::ifstream in(GoldenPathV2(), std::ios::binary);
+  ASSERT_TRUE(in.is_open()) << "missing fixture " << GoldenPathV2();
+  std::ostringstream golden;
+  golden << in.rdbuf();
+  ASSERT_EQ(bytes.size(), golden.str().size());
+  EXPECT_EQ(bytes, golden.str());
 
-    auto restored = DeserializeSnapshot(golden.str(), *world.registry);
-    ASSERT_TRUE(restored.ok()) << path << ": " << restored.status().message();
-    EXPECT_EQ(restored.value().observations.groups().size(),
-              snapshot.observations.groups().size())
-        << path;
-  }
+  auto restored = DeserializeSnapshot(golden.str(), *world.registry);
+  ASSERT_TRUE(restored.ok()) << restored.status().message();
+  EXPECT_EQ(restored.value().observations.groups().size(),
+            snapshot.observations.groups().size());
+}
+
+// golden_mini.lockdb is a snapshot in the retired LOCKDB01 container. Every
+// way in — bytes, mapped file, registry peek — fails with the one typed
+// error that tells the user to re-import from the trace.
+TEST(SnapshotTest, RetiredV1ContainerFailsWithReimportError) {
+  TestWorld world = MakeWorld();
+  std::ifstream in(GoldenPathV1(), std::ios::binary);
+  ASSERT_TRUE(in.is_open()) << "missing fixture " << GoldenPathV1();
+  std::ostringstream v1;
+  v1 << in.rdbuf();
+  ASSERT_EQ(SnapshotContainerVersion(v1.str()), 1u);
+  EXPECT_TRUE(IsSnapshotFile(GoldenPathV1()));
+
+  auto expect_reimport_error = [](const Status& status, const char* via) {
+    ASSERT_FALSE(status.ok()) << via;
+    EXPECT_NE(status.message().find("LOCKDB01"), std::string::npos) << via;
+    EXPECT_NE(status.message().find("re-import from the trace with `lockdoc import`"),
+              std::string::npos)
+        << via << ": " << status.message();
+  };
+  auto deserialized = DeserializeSnapshot(v1.str(), *world.registry);
+  ASSERT_FALSE(deserialized.ok());
+  expect_reimport_error(deserialized.status(), "DeserializeSnapshot");
+  auto loaded = LoadSnapshot(GoldenPathV1(), *world.registry);
+  ASSERT_FALSE(loaded.ok());
+  expect_reimport_error(loaded.status(), "LoadSnapshot");
+  auto peeked = PeekSnapshotTypeCount(GoldenPathV1());
+  ASSERT_FALSE(peeked.ok());
+  expect_reimport_error(peeked.status(), "PeekSnapshotTypeCount");
 }
 
 TEST(SnapshotTest, RegistryShapeMismatchIsRejected) {
@@ -175,7 +196,7 @@ TEST(SnapshotTest, ReorderedAndMissingSectionsAreRejected) {
     for (size_t i = 2; i < parsed.size(); ++i) {
       writer.AddSection(static_cast<SnapshotSectionType>(parsed[i].type), parsed[i].payload);
     }
-    EXPECT_FALSE(DeserializeSnapshot(writer.Finish().value(), *world.registry).ok());
+    EXPECT_FALSE(DeserializeSnapshot(writer.Finish(), *world.registry).ok());
   }
   {
     // Drop the last section.
@@ -183,7 +204,7 @@ TEST(SnapshotTest, ReorderedAndMissingSectionsAreRejected) {
     for (size_t i = 0; i + 1 < parsed.size(); ++i) {
       writer.AddSection(static_cast<SnapshotSectionType>(parsed[i].type), parsed[i].payload);
     }
-    EXPECT_FALSE(DeserializeSnapshot(writer.Finish().value(), *world.registry).ok());
+    EXPECT_FALSE(DeserializeSnapshot(writer.Finish(), *world.registry).ok());
   }
 }
 
@@ -202,15 +223,13 @@ TEST(SnapshotTest, UnknownSectionTypeIsSkippedOnLoad) {
   const auto& parsed = sections.value();
   ASSERT_GE(parsed.size(), 4u);
   // Re-emit with a future-typed section spliced in after the meta section.
-  // SerializeSnapshot defaults to the v2 container, and the meta payload's
-  // format version is coupled to it — re-emit as v2 too.
-  SnapshotWriter writer(/*container_version=*/2);
+  SnapshotWriter writer;
   writer.AddSection(static_cast<SnapshotSectionType>(parsed[0].type), parsed[0].payload);
   writer.AddSection(static_cast<SnapshotSectionType>(9), "future-extension-payload");
   for (size_t i = 1; i < parsed.size(); ++i) {
     writer.AddSection(static_cast<SnapshotSectionType>(parsed[i].type), parsed[i].payload);
   }
-  std::string extended = writer.Finish().value();
+  std::string extended = writer.Finish();
 
   auto restored = DeserializeSnapshot(extended, *world.registry);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
@@ -226,35 +245,31 @@ TEST(SnapshotTest, UnknownSectionTypeIsSkippedOnLoad) {
 TEST(SnapshotTest, RepairedSnapshotMissingATableFailsTyped) {
   TestWorld world = MakeWorld();
   AnalysisSnapshot snapshot = BuildSnapshot(world.trace, *world.registry);
-  for (uint64_t version : {uint64_t{1}, uint64_t{2}}) {
-    SnapshotWriteOptions write_options;
-    write_options.container_version = version;
-    std::string bytes = SerializeSnapshot(snapshot, *world.registry, write_options);
-    auto sections = ScanSnapshotSections(bytes);
-    ASSERT_TRUE(sections.ok());
-    // Corrupt one payload byte of the first table section; repair then
-    // drops that section wholesale.
-    const SnapshotSection* table = nullptr;
-    for (const auto& section : sections.value()) {
-      if (section.type == kSnapshotSectionTable) {
-        table = &section;
-        break;
-      }
+  std::string bytes = SerializeSnapshot(snapshot, *world.registry);
+  auto sections = ScanSnapshotSections(bytes);
+  ASSERT_TRUE(sections.ok());
+  // Corrupt one payload byte of the first table section; repair then drops
+  // that section wholesale.
+  const SnapshotSection* table = nullptr;
+  for (const auto& section : sections.value()) {
+    if (section.type == kSnapshotSectionTable) {
+      table = &section;
+      break;
     }
-    ASSERT_NE(table, nullptr) << "v" << version;
-    size_t victim = static_cast<size_t>(table->payload.data() - bytes.data());
-    bytes[victim] ^= 0x20;
-    SnapshotRepairResult repaired = RepairSnapshotBytes(bytes);
-    ASSERT_TRUE(repaired.salvageable()) << "v" << version;
-    ASSERT_EQ(repaired.dropped.size(), 1u) << "v" << version;
-    auto restored = DeserializeSnapshot(repaired.bytes, *world.registry);
-    ASSERT_FALSE(restored.ok()) << "v" << version;
-    EXPECT_NE(restored.status().message().find("required table"), std::string::npos)
-        << "v" << version << ": " << restored.status().message();
   }
+  ASSERT_NE(table, nullptr);
+  size_t victim = static_cast<size_t>(table->payload.data() - bytes.data());
+  bytes[victim] ^= 0x20;
+  SnapshotRepairResult repaired = RepairSnapshotBytes(bytes);
+  ASSERT_TRUE(repaired.salvageable());
+  ASSERT_EQ(repaired.dropped.size(), 1u);
+  auto restored = DeserializeSnapshot(repaired.bytes, *world.registry);
+  ASSERT_FALSE(restored.ok());
+  EXPECT_NE(restored.status().message().find("required table"), std::string::npos)
+      << restored.status().message();
 }
 
-// The lazy-CRC contract of the v2 zero-copy load: by default every payload
+// The lazy-CRC contract of the zero-copy load: by default every payload
 // CRC is verified (a flipped padding byte — which no decoder ever reads —
 // must still fail the load), and only an explicit verify_payload_crcs=false
 // opt-out defers table CRCs, in which case the analysis still comes out
@@ -298,32 +313,25 @@ TEST(SnapshotTest, V2DefaultLoadVerifiesPayloadsLazyLoadDefersThem) {
 
 // BuildAndSaveSnapshot overlaps the head-section disk write with
 // observation extraction, but the bytes on disk must be exactly what the
-// serial build-then-serialize path produces — at any job count and for both
-// container versions.
+// serial build-then-serialize path produces — at any job count.
 TEST(SnapshotTest, BuildAndSaveSnapshotMatchesSerialBytesAtAnyJobCount) {
   TestWorld world = MakeWorld();
   AnalysisSnapshot snapshot = BuildSnapshot(world.trace, *world.registry);
-  for (uint64_t version : {uint64_t{1}, uint64_t{2}}) {
-    SnapshotWriteOptions write_options;
-    write_options.container_version = version;
-    const std::string expected = SerializeSnapshot(snapshot, *world.registry, write_options);
-    for (size_t jobs : {size_t{1}, size_t{2}, size_t{8}}) {
-      PipelineOptions options;
-      options.jobs = jobs;
-      std::string path = ::testing::TempDir() + "/snapshot_test_build_save_v" +
-                         std::to_string(version) + "_j" + std::to_string(jobs) + ".lockdb";
-      auto built =
-          BuildAndSaveSnapshot(world.trace, *world.registry, options, write_options, path);
-      ASSERT_TRUE(built.ok()) << built.status().message();
-      std::ifstream in(path, std::ios::binary);
-      ASSERT_TRUE(in.is_open()) << path;
-      std::ostringstream actual;
-      actual << in.rdbuf();
-      EXPECT_EQ(actual.str(), expected)
-          << "v" << version << " jobs=" << jobs << " diverged from the serial bytes";
-      ExpectSameRules(AnalyzeSnapshot(built.value()), AnalyzeSnapshot(snapshot));
-      std::filesystem::remove(path);
-    }
+  const std::string expected = SerializeSnapshot(snapshot, *world.registry);
+  for (size_t jobs : {size_t{1}, size_t{2}, size_t{8}}) {
+    PipelineOptions options;
+    options.jobs = jobs;
+    std::string path =
+        ::testing::TempDir() + "/snapshot_test_build_save_j" + std::to_string(jobs) + ".lockdb";
+    auto built = BuildAndSaveSnapshot(world.trace, *world.registry, options, path);
+    ASSERT_TRUE(built.ok()) << built.status().message();
+    std::ifstream in(path, std::ios::binary);
+    ASSERT_TRUE(in.is_open()) << path;
+    std::ostringstream actual;
+    actual << in.rdbuf();
+    EXPECT_EQ(actual.str(), expected) << "jobs=" << jobs << " diverged from the serial bytes";
+    ExpectSameRules(AnalyzeSnapshot(built.value()), AnalyzeSnapshot(snapshot));
+    std::filesystem::remove(path);
   }
 }
 

@@ -18,7 +18,7 @@ std::string TinySnapshot() {
   writer.AddSection(kSnapshotSectionMeta, "meta-payload");
   writer.AddSection(kSnapshotSectionStrings, "strings-payload");
   writer.AddSection(kSnapshotSectionTable, "");  // Empty payloads are legal.
-  return writer.Finish().value();
+  return writer.Finish();
 }
 
 TEST(SnapshotContainerTest, WriterScanRoundTrip) {
@@ -36,7 +36,7 @@ TEST(SnapshotContainerTest, WriterScanRoundTrip) {
 
 TEST(SnapshotContainerTest, EmptySnapshotIsCleanWithZeroSections) {
   SnapshotWriter writer;
-  std::string bytes = writer.Finish().value();
+  std::string bytes = writer.Finish();
   auto sections = ScanSnapshotSections(bytes);
   ASSERT_TRUE(sections.ok());
   EXPECT_TRUE(sections.value().empty());
@@ -49,6 +49,27 @@ TEST(SnapshotContainerTest, MagicSniffing) {
   EXPECT_FALSE(LooksLikeSnapshot("LDTRACE2 something"));
   EXPECT_FALSE(LooksLikeSnapshot(""));
   EXPECT_FALSE(LooksLikeSnapshot(bytes.substr(1)));
+  EXPECT_TRUE(CheckSnapshotMagic(bytes).ok());
+}
+
+// A retired LOCKDB01 file is still recognised as a snapshot (so no reader
+// mistakes it for a trace) but every reader refuses it with one error that
+// names the container and says how to rebuild it.
+TEST(SnapshotContainerTest, RetiredV1MagicIsRecognisedButRefused) {
+  std::string bytes = TinySnapshot();
+  bytes.replace(0, sizeof(kSnapshotMagicV1), kSnapshotMagicV1, sizeof(kSnapshotMagicV1));
+  EXPECT_TRUE(LooksLikeSnapshot(bytes));
+  EXPECT_EQ(SnapshotContainerVersion(bytes), 1u);
+  Status magic = CheckSnapshotMagic(bytes);
+  ASSERT_FALSE(magic.ok());
+  EXPECT_NE(magic.message().find("LOCKDB01"), std::string::npos);
+  EXPECT_NE(magic.message().find("re-import from the trace with `lockdoc import`"),
+            std::string::npos);
+  auto scan = ScanSnapshotSections(bytes);
+  ASSERT_FALSE(scan.ok());
+  EXPECT_EQ(scan.status().message(), magic.message());
+  EXPECT_FALSE(InspectSnapshot(bytes).magic_ok);
+  EXPECT_FALSE(RepairSnapshotBytes(bytes).salvageable());
 }
 
 TEST(SnapshotContainerTest, UnknownSectionTypeIsUnrecognizedNotDamage) {
@@ -56,7 +77,7 @@ TEST(SnapshotContainerTest, UnknownSectionTypeIsUnrecognizedNotDamage) {
   writer.AddSection(kSnapshotSectionMeta, "meta-payload");
   writer.AddSection(static_cast<SnapshotSectionType>(9), "future-payload");
   writer.AddSection(kSnapshotSectionStrings, "strings-payload");
-  std::string bytes = writer.Finish().value();
+  std::string bytes = writer.Finish();
 
   // The strict scan keeps the unknown section (its CRC is intact).
   auto sections = ScanSnapshotSections(bytes);
@@ -79,11 +100,11 @@ TEST(SnapshotContainerTest, UnknownSectionTypeIsUnrecognizedNotDamage) {
 }
 
 TEST(SnapshotContainerTest, V2UnknownSectionTypeIsUnrecognizedNotDamage) {
-  SnapshotWriter writer(/*container_version=*/2);
+  SnapshotWriter writer;
   writer.AddSection(kSnapshotSectionMeta, "meta-payload");
   writer.AddSection(static_cast<SnapshotSectionType>(11), "future-payload");
   writer.AddSection(kSnapshotSectionStrings, "strings-payload");
-  std::string bytes = writer.Finish().value();
+  std::string bytes = writer.Finish();
   SnapshotInspection inspection = InspectSnapshot(bytes);
   EXPECT_TRUE(inspection.clean());
   ASSERT_EQ(inspection.sections.size(), 3u);
@@ -99,7 +120,7 @@ TEST(SnapshotContainerTest, CorruptUnknownSectionIsStillDamage) {
   writer.AddSection(kSnapshotSectionMeta, "meta-payload");
   writer.AddSection(static_cast<SnapshotSectionType>(9), "future-payload");
   writer.AddSection(kSnapshotSectionStrings, "strings-payload");
-  std::string bytes = writer.Finish().value();
+  std::string bytes = writer.Finish();
   // Flip a byte inside the unknown section's payload: "unrecognized" is
   // only for intact sections — a bad CRC is damage like anywhere else.
   size_t pos = bytes.find("future-payload");
@@ -121,7 +142,7 @@ TEST(SnapshotContainerTest, EveryByteFlipIsDetected) {
   std::string pristine = TinySnapshot();
   // Flip each byte after the magic in turn; the strict scan must fail every
   // time (CRC, marker, or structural check) and never crash.
-  for (size_t i = sizeof(kSnapshotMagic); i < pristine.size(); ++i) {
+  for (size_t i = sizeof(kSnapshotMagicV2); i < pristine.size(); ++i) {
     std::string bytes = pristine;
     bytes[i] ^= 0x40;
     auto sections = ScanSnapshotSections(bytes);
@@ -142,11 +163,11 @@ void PatchU64(std::string* bytes, size_t pos, uint64_t value) {
 }
 
 std::string TinySnapshotV2() {
-  SnapshotWriter writer(/*container_version=*/2);
+  SnapshotWriter writer;
   writer.AddSection(kSnapshotSectionMeta, "meta-payload");
   writer.AddSection(kSnapshotSectionStrings, "strings-payload");
   writer.AddSection(kSnapshotSectionTable, "table-bytes");
-  return writer.Finish().value();
+  return writer.Finish();
 }
 
 TEST(SnapshotContainerTest, V2WriterScanRoundTripIsAligned) {
@@ -198,54 +219,6 @@ TEST(SnapshotContainerTest, V2HeaderModeDefersTablePayloadCrcOnly) {
   Status deferred = VerifySectionPayloadCrc(lazy.value()[2]);
   EXPECT_FALSE(deferred.ok());
   EXPECT_NE(deferred.message().find("crc mismatch"), std::string::npos);
-}
-
-TEST(SnapshotContainerTest, OversizedSectionFailsWithTypedError) {
-  // The guard against the 32-bit v1 length field: an oversized payload must
-  // poison the writer with a typed error, never truncate silently. The cap
-  // is injected tiny so the test does not materialize gigabytes.
-  SnapshotWriter writer(/*container_version=*/1, /*max_section_payload=*/16);
-  writer.AddSection(kSnapshotSectionMeta, "fits");
-  writer.AddSection(kSnapshotSectionTable, std::string(17, 'x'));
-  EXPECT_FALSE(writer.status().ok());
-  writer.AddSection(kSnapshotSectionPool, "ignored after the failure");
-  auto finished = writer.Finish();
-  ASSERT_FALSE(finished.ok());
-  EXPECT_NE(finished.status().message().find("table"), std::string::npos);
-  EXPECT_NE(finished.status().message().find("exceeds the v1 container cap"),
-            std::string::npos);
-
-  // v2 honors an injected cap the same way (its default cap is the 64-bit
-  // length itself, which a test cannot reach).
-  SnapshotWriter v2(/*container_version=*/2, /*max_section_payload=*/8);
-  v2.AddSection(kSnapshotSectionMeta, std::string(9, 'y'));
-  EXPECT_FALSE(v2.Finish().ok());
-}
-
-TEST(SnapshotContainerTest, CorruptV1LengthIsClampedAndLaterFramesSurvive) {
-  std::string bytes = TinySnapshot();
-  auto sections = ScanSnapshotSections(bytes);
-  ASSERT_TRUE(sections.ok());
-  // Forge the strings section's length field to point far past the next
-  // frame. The strict scan must reject the file, and the lenient inspection
-  // must clamp the reported size to the bytes before the next marker
-  // instead of swallowing the frames the length pretends to cover.
-  size_t frame = sections.value()[1].offset;
-  PatchU32(&bytes, frame + 9, 0x7FFFFFFF);
-
-  EXPECT_FALSE(ScanSnapshotSections(bytes).ok());
-  SnapshotInspection inspection = InspectSnapshot(bytes);
-  EXPECT_FALSE(inspection.clean());
-  ASSERT_EQ(inspection.sections.size(), 3u);
-  EXPECT_TRUE(inspection.sections[0].ok());
-  EXPECT_FALSE(inspection.sections[1].ok());
-  EXPECT_NE(inspection.sections[1].problem.find("implausible length"), std::string::npos);
-  EXPECT_NE(inspection.sections[1].problem.find("clamped"), std::string::npos);
-  EXPECT_LT(inspection.sections[1].payload_size, uint64_t{0x7FFFFFFF});
-  // The table section after the damage is still found and verifies.
-  EXPECT_TRUE(inspection.sections[2].ok());
-  EXPECT_EQ(inspection.sections[2].type, kSnapshotSectionTable);
-  EXPECT_TRUE(inspection.end_ok);
 }
 
 TEST(SnapshotContainerTest, CorruptV2LengthIsClampedAndLaterFramesSurvive) {
@@ -351,10 +324,10 @@ Table& MakeSampleTable(Database* db) {
 TEST(SnapshotContainerTest, TableSectionRoundTrip) {
   Database db;
   Table& table = MakeSampleTable(&db);
-  std::string payload = EncodeTableSection(table);
+  std::string payload = EncodeTableSectionV2(table);
 
   Database restored_db;
-  ASSERT_TRUE(DecodeTableSection(payload, &restored_db).ok());
+  ASSERT_TRUE(DecodeTableSectionV2(payload, /*zero_copy=*/false, &restored_db).ok());
   ASSERT_TRUE(restored_db.HasTable("sample"));
   const Table& restored = restored_db.table("sample");
   ASSERT_EQ(restored.row_count(), table.row_count());
@@ -370,18 +343,19 @@ TEST(SnapshotContainerTest, TableSectionRoundTrip) {
 
 TEST(SnapshotContainerTest, TableSectionRejectsDuplicateTable) {
   Database db;
-  std::string payload = EncodeTableSection(MakeSampleTable(&db));
+  std::string payload = EncodeTableSectionV2(MakeSampleTable(&db));
   Database restored;
-  ASSERT_TRUE(DecodeTableSection(payload, &restored).ok());
-  EXPECT_FALSE(DecodeTableSection(payload, &restored).ok());
+  ASSERT_TRUE(DecodeTableSectionV2(payload, /*zero_copy=*/false, &restored).ok());
+  EXPECT_FALSE(DecodeTableSectionV2(payload, /*zero_copy=*/false, &restored).ok());
 }
 
 TEST(SnapshotContainerTest, TableSectionRejectsTruncatedPayload) {
   Database db;
-  std::string payload = EncodeTableSection(MakeSampleTable(&db));
+  std::string payload = EncodeTableSectionV2(MakeSampleTable(&db));
   for (size_t keep : {size_t{0}, size_t{1}, payload.size() / 2, payload.size() - 1}) {
     Database restored;
-    EXPECT_FALSE(DecodeTableSection(payload.substr(0, keep), &restored).ok())
+    EXPECT_FALSE(DecodeTableSectionV2(payload.substr(0, keep), /*zero_copy=*/false, &restored)
+                     .ok())
         << "truncated to " << keep;
   }
 }

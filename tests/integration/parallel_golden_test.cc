@@ -38,7 +38,10 @@ std::string AnalyzeToText(const Trace& trace, const TypeRegistry& registry, size
   ReportOptions report_options;
   report_options.documented_rules_text = VfsKernel::DocumentedRulesText();
   report_options.full_documentation = true;
-  out += RenderReport(registry, result, report_options);
+  AnalysisOptions context_options;
+  context_options.pipeline = options;
+  AnalysisContext context(&result.snapshot, &registry, std::move(context_options));
+  out += RenderReport(context, report_options);
 
   // 2. Rule checking against the documented rules.
   auto rules = RuleSet::ParseText(VfsKernel::DocumentedRulesText());

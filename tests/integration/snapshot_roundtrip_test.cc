@@ -68,10 +68,8 @@ TEST(SnapshotRoundTripTest, AnalysisFromSnapshotMatchesAnalysisFromTrace) {
   report_options.documented_rules_text = VfsKernel::DocumentedRulesText();
   report_options.full_documentation = true;
 
-  PipelineResult from_trace;
-  from_trace.snapshot = std::move(built);
-  from_trace.rules = trace_rules;
-  std::string trace_report = RenderReport(*sim.registry, from_trace, report_options);
+  AnalysisContext trace_context(&built, sim.registry.get());
+  std::string trace_report = RenderReport(trace_context, report_options);
 
   // Snapshot path, at several thread counts: identical rules, identical
   // report, byte for byte.
@@ -82,11 +80,11 @@ TEST(SnapshotRoundTripTest, AnalysisFromSnapshotMatchesAnalysisFromTrace) {
         AnalyzeSnapshot(loaded.value(), VfsOptions(jobs));
     EXPECT_EQ(RenderRules(snapshot_rules), RenderRules(trace_rules)) << "jobs=" << jobs;
 
-    PipelineResult from_snapshot;
-    from_snapshot.snapshot = std::move(loaded).value();
-    from_snapshot.rules = std::move(snapshot_rules);
-    EXPECT_EQ(RenderReport(*sim.registry, from_snapshot, report_options), trace_report)
-        << "jobs=" << jobs;
+    AnalysisOptions context_options;
+    context_options.pipeline = VfsOptions(jobs);
+    AnalysisContext snapshot_context(&loaded.value(), sim.registry.get(),
+                                     std::move(context_options));
+    EXPECT_EQ(RenderReport(snapshot_context, report_options), trace_report) << "jobs=" << jobs;
   }
 }
 

@@ -383,25 +383,69 @@ TEST_F(ServeServiceTest, OversizedFileIsQuarantinedBeforeParsing) {
   EXPECT_NE(reason.value().find("kind=oversized\n"), std::string::npos);
 }
 
+// The resident bound holds whenever no request is in flight: a batch that
+// loads more snapshots than --max-resident — several at once, pinned by
+// concurrent workers — still leaves the store within the bound when
+// ProcessOnce returns. Eight inputs answered with the heavier report pass
+// keep several loads pinned at the same time, so eviction deferred past the
+// last unpin shows up as an over-full store.
 TEST_F(ServeServiceTest, LruEvictsBeyondMaxResident) {
-  DropTrace("a.trace");
-  DropTrace("b.trace");
-  DropRequest("qa", "pass=check\ninput=a\n");
-  DropRequest("qb", "pass=check\ninput=b\n");
-
+  const std::vector<std::string> inputs = {"a", "b", "c", "d", "e", "f", "g", "h"};
+  for (const std::string& input : inputs) {
+    DropTrace(input + ".trace");
+  }
   options_.max_resident = 1;
+  {
+    ServeService ingest(layout_, sim_.registry.get(), options_);
+    ASSERT_TRUE(ingest.Recover().ok());
+    ASSERT_TRUE(ingest.ProcessOnce().ok());
+  }
+
+  for (size_t workers : {size_t{1}, size_t{2}, size_t{4}}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    options_.workers = workers;
+    ServeService service(layout_, sim_.registry.get(), options_);
+    ASSERT_TRUE(service.Recover().ok());
+    const std::string tag = "w" + std::to_string(workers);
+    for (const std::string& input : inputs) {
+      DropRequest(tag + input, "pass=report\ninput=" + input + "\n");
+    }
+    ASSERT_TRUE(service.ProcessOnce().ok());
+    for (const std::string& input : inputs) {
+      EXPECT_NE(MetaText(tag + input).find("status=ok\n"), std::string::npos) << input;
+    }
+    EXPECT_LE(service.resident_count(), options_.max_resident);
+    EXPECT_GE(service.stats().evictions, inputs.size() - options_.max_resident);
+
+    // An evicted snapshot reloads from disk and still answers.
+    DropRequest(tag + "again", "pass=check\ninput=a\n");
+    ASSERT_TRUE(service.ProcessOnce().ok());
+    EXPECT_NE(MetaText(tag + "again").find("status=ok\n"), std::string::npos);
+    EXPECT_LE(service.resident_count(), options_.max_resident);
+  }
+}
+
+// A .lockdb in the retired LOCKDB01 container cannot be repaired, only
+// rebuilt: ingest quarantines it with a re-import hint, not a doctor one.
+TEST_F(ServeServiceTest, RetiredV1SnapshotIsQuarantinedWithReimportHint) {
+  auto v1 = ReadFileToString(std::string(LOCKDOC_TESTDATA_DIR) + "/golden_mini.lockdb");
+  ASSERT_TRUE(v1.ok()) << v1.status().message();
+  ASSERT_TRUE(WriteFileAtomic(layout_.incoming_dir + "/old.lockdb", v1.value()).ok());
+
   ServeService service(layout_, sim_.registry.get(), options_);
   ASSERT_TRUE(service.Recover().ok());
   ASSERT_TRUE(service.ProcessOnce().ok());
 
-  EXPECT_NE(MetaText("qa").find("status=ok\n"), std::string::npos);
-  EXPECT_NE(MetaText("qb").find("status=ok\n"), std::string::npos);
-  EXPECT_GE(service.stats().evictions, 1u);
-
-  // The evicted snapshot reloads from disk and still answers.
-  DropRequest("qa2", "pass=check\ninput=a\n");
-  ASSERT_TRUE(service.ProcessOnce().ok());
-  EXPECT_NE(MetaText("qa2").find("status=ok\n"), std::string::npos);
+  auto reason = ReadFileToString(layout_.quarantine_dir + "/old.lockdb.reason");
+  ASSERT_TRUE(reason.ok()) << reason.status().message();
+  EXPECT_NE(reason.value().find("kind=retired-snapshot\n"), std::string::npos)
+      << reason.value();
+  EXPECT_NE(reason.value().find("re-import from the trace with `lockdoc import`"),
+            std::string::npos)
+      << reason.value();
+  EXPECT_EQ(reason.value().find("doctor"), std::string::npos) << reason.value();
+  EXPECT_FALSE(FileSize(layout_.snapshots_dir + "/old.lockdb").ok());
+  EXPECT_EQ(service.stats().quarantined, 1u);
 }
 
 TEST_F(ServeServiceTest, RecoverReplaysAnOrphanedJournalEntry) {

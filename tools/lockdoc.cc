@@ -282,7 +282,7 @@ const std::map<std::string, std::set<std::string>>& CommandFlagTable() {
     };
     return new std::map<std::string, std::set<std::string>>{
         {"simulate", {"out", "ops", "seed", "clean", "script", "workload"}},
-        {"import", with({"out", "format"})},
+        {"import", with({"out"})},
         {"stats", {"salvage"}},
         {"derive", with({"tac", "type", "subclass", "spec", "support", "out-dir", "format"})},
         {"check", with({"rules", "format"})},
@@ -556,12 +556,6 @@ int CmdImport(const FlagSet& flags) {
     std::fprintf(stderr, "lockdoc import: --out is required\n");
     return 2;
   }
-  std::string format = flags.GetString("format", "v2");
-  if (format != "v1" && format != "v2") {
-    std::fprintf(stderr, "lockdoc import: --format must be v1 or v2 (got '%s')\n",
-                 format.c_str());
-    return 64;
-  }
   PipelineTimings timings;
   auto t_read = std::chrono::steady_clock::now();
   LoadedTrace input;
@@ -570,14 +564,12 @@ int CmdImport(const FlagSet& flags) {
   }
   timings.Add("trace read", SecondsBetween(t_read, std::chrono::steady_clock::now()),
               input.trace.size());
-  SnapshotWriteOptions write_options;
-  write_options.container_version = format == "v1" ? 1 : 2;
   // Build + atomic publication in one overlapped pass: the bulky table
   // sections stream to disk while observation extraction still runs, and a
   // crash mid-import never leaves a torn .lockdb that a later analysis (or
   // the serve spool) would trip over.
-  auto built = BuildAndSaveSnapshot(input.trace, *input.registry, MakeOptions(flags),
-                                    write_options, out, &timings);
+  auto built =
+      BuildAndSaveSnapshot(input.trace, *input.registry, MakeOptions(flags), out, &timings);
   if (!built.ok()) {
     std::fprintf(stderr, "lockdoc: %s\n", built.status().message().c_str());
     return 1;
@@ -853,13 +845,15 @@ int DoctorSnapshot(const std::string& path, const std::string& repair_out) {
     return 2;
   }
   const std::string& bytes = read.value();
-
-  SnapshotInspection inspection = InspectSnapshot(bytes);
-  if (!inspection.magic_ok) {
-    std::printf("%s: not a .lockdb snapshot\n", path.c_str());
+  // A retired LOCKDB01 container is unreadable, not damaged: repair cannot
+  // help, re-importing from the trace does (the error says so).
+  if (Status magic = CheckSnapshotMagic(bytes); !magic.ok()) {
+    std::printf("%s: %s\n", path.c_str(), magic.message().c_str());
     std::printf("verdict: unreadable\n");
     return 2;
   }
+
+  SnapshotInspection inspection = InspectSnapshot(bytes);
   if (!inspection.clean()) {
     std::printf("%s: damaged\n", path.c_str());
     std::printf("%s", inspection.ToString().c_str());
