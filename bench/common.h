@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <string>
 
+#include "src/core/analysis_context.h"
 #include "src/core/pipeline.h"
 #include "src/util/flags.h"
 #include "src/util/string_util.h"
@@ -19,6 +20,13 @@ struct StandardRun {
   SimulationResult sim;
   PipelineResult pipeline;
   MixOptions mix;
+  PipelineOptions options;
+
+  // A fresh analysis context over the pipeline's snapshot, run with the
+  // same options (so --jobs also sets the analyzers' thread count).
+  AnalysisContext Context() {
+    return AnalysisContext(&pipeline.snapshot, sim.registry.get(), AnalysisOptions{options, {}});
+  }
 };
 
 // Runs the standard evaluation setup. Flags: --ops (default 30000),
@@ -43,11 +51,10 @@ inline StandardRun RunStandardEvaluation(int argc, const char* const* argv,
   run.mix.seed = flags.GetUint64("seed", 1);
   run.sim = SimulateKernelRun(run.mix, FaultPlan{}, coverage);
 
-  PipelineOptions options;
-  options.filter = VfsKernel::MakeFilterConfig();
-  options.derivator.accept_threshold = flags.GetDouble("tac", 0.9);
-  options.jobs = flags.GetUint64("jobs", 0);
-  run.pipeline = RunPipeline(run.sim.trace, *run.sim.registry, options);
+  run.options.filter = VfsKernel::MakeFilterConfig();
+  run.options.derivator.accept_threshold = flags.GetDouble("tac", 0.9);
+  run.options.jobs = flags.GetUint64("jobs", 0);
+  run.pipeline = RunPipeline(run.sim.trace, *run.sim.registry, run.options);
   return run;
 }
 

@@ -6,7 +6,7 @@
 #include <chrono>
 #include <cstdio>
 
-#include "src/core/pipeline.h"
+#include "src/core/analysis_context.h"
 #include "src/core/violation_finder.h"
 #include "src/trace/trace_stats.h"
 #include "src/util/flags.h"
@@ -60,8 +60,16 @@ int main(int argc, char** argv) {
   std::vector<DerivationResult> rules = derivator.DeriveAll(observations, &pool);
   auto t4 = std::chrono::steady_clock::now();
 
-  ViolationFinder finder(&db, sim.registry.get(), &observations);
-  std::vector<Violation> violations = finder.FindAll(rules, &pool);
+  // The separately timed database and observations become one snapshot for
+  // the violation finder (two moves, no copy).
+  AnalysisSnapshot snapshot;
+  snapshot.db = std::move(db);
+  snapshot.observations = std::move(observations);
+  AnalysisOptions analysis;
+  analysis.pipeline.jobs = pool.thread_count();
+  AnalysisContext context(&snapshot, sim.registry.get(), std::move(analysis));
+  ViolationFinder finder(context);
+  std::vector<Violation> violations = finder.FindAll(rules);
   auto t5 = std::chrono::steady_clock::now();
 
   TraceStats stats = ComputeTraceStats(sim.trace);
@@ -76,7 +84,7 @@ int main(int argc, char** argv) {
   std::printf("lock instances:                %s\n",
               FormatWithCommas(import_stats.lock_instances).c_str());
   std::printf("derived rules:                 %zu (for %zu member populations)\n",
-              rules.size(), observations.groups().size());
+              rules.size(), snapshot.observations.groups().size());
   uint64_t counterexamples = 0;
   for (const Violation& violation : violations) {
     counterexamples += violation.seqs.size();

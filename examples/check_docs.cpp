@@ -11,7 +11,7 @@
 #include <fstream>
 #include <sstream>
 
-#include "src/core/pipeline.h"
+#include "src/core/analysis_context.h"
 #include "src/core/rule_checker.h"
 #include "src/trace/trace_io.h"
 #include "src/util/flags.h"
@@ -75,7 +75,8 @@ int main(int argc, char** argv) {
   options.filter = VfsKernel::MakeFilterConfig();
   PipelineResult result = RunPipeline(trace, *registry, options);
 
-  RuleChecker checker(registry.get(), &result.snapshot.observations);
+  AnalysisContext context(&result.snapshot, registry.get(), AnalysisOptions{options, {}});
+  RuleChecker checker(context);
   std::vector<RuleCheckResult> checked = checker.CheckAll(rules.value());
 
   std::printf("=== per-rule results ===\n");

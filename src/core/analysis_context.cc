@@ -74,6 +74,10 @@ const LockPostingIndex& AnalysisContext::lock_postings() {
   return *postings_;
 }
 
+RuleCompliance AnalysisContext::Compliance(const LockSeq& rule) {
+  return RuleCompliance(snapshot_->observations, member_access_index(), lock_postings(), rule);
+}
+
 std::vector<DerivationResult> AnalysisContext::TakeRules() {
   rules();
   return std::move(rules_);

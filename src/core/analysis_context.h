@@ -122,6 +122,10 @@ class AnalysisContext {
   // Per-lock-class posting lists over interned sequences.
   const LockPostingIndex& lock_postings();
 
+  // The compliance test of `rule` over this context's observations, on the
+  // shared member-access and posting indexes (building them on first use).
+  RuleCompliance Compliance(const LockSeq& rule);
+
   // Moves the memoized rule set out (deriving first if needed); the context
   // must not be used afterwards. For one-shot callers like AnalyzeSnapshot.
   std::vector<DerivationResult> TakeRules();

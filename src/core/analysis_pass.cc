@@ -40,10 +40,9 @@ class CheckPass : public AnalysisPass {
     if (!rules.ok()) {
       return rules.status();
     }
-    RuleChecker checker(&context.registry(), &context.observations(),
-                        &context.member_access_index(), &context.lock_postings());
+    RuleChecker checker(context);
     auto t0 = Clock::now();
-    std::vector<RuleCheckResult> checked = checker.CheckAll(rules.value(), &context.pool());
+    std::vector<RuleCheckResult> checked = checker.CheckAll(rules.value());
     context.timings().Add("rule checking", Seconds(t0, Clock::now()), rules.value().size());
     ReportSection& section = AddSection(doc, "rule-check");
     for (const RuleCheckResult& r : checked) {
@@ -62,15 +61,7 @@ class CheckPass : public AnalysisPass {
                      {"total", std::to_string(r.total)}};
     }
     AddDecoration(section, "\n");
-    ReportNode& table = AddTable(
-        section, "check-summary",
-        {"Data Type", "#R", "#No", "#Ob", "! (%)", "~ (%)", "# (%)"});
-    for (const RuleCheckSummary& s : RuleChecker::Summarize(checked)) {
-      table.table.rows.push_back(
-          {s.type_name, std::to_string(s.documented), std::to_string(s.unobserved),
-           std::to_string(s.observed), StrFormat("%.2f", s.correct_pct()),
-           StrFormat("%.2f", s.ambivalent_pct()), StrFormat("%.2f", s.incorrect_pct())});
-    }
+    AddCheckSummaryTable(section, "check-summary", RuleChecker::Summarize(checked));
     return Status::Ok();
   }
 };
@@ -158,10 +149,9 @@ class ViolationsPass : public AnalysisPass {
   Status Build(AnalysisContext& context, const PassOptions& opts,
                ReportDocument& doc) const override {
     const std::vector<DerivationResult>& rules = context.rules();
-    ViolationFinder finder(&context.db(), &context.registry(), &context.observations(),
-                           &context.member_access_index(), &context.lock_postings());
+    ViolationFinder finder(context);
     auto t0 = Clock::now();
-    std::vector<Violation> violations = finder.FindAll(rules, &context.pool());
+    std::vector<Violation> violations = finder.FindAll(rules);
     context.timings().Add("violation finding", Seconds(t0, Clock::now()), rules.size());
 
     ReportSection& section = AddSection(doc, "violations");
@@ -224,9 +214,7 @@ class ModesPass : public AnalysisPass {
                ReportDocument& doc) const override {
     const std::vector<DerivationResult>& rules = context.rules();
     bool all = opts.modes_all;
-    const TypeRegistry& registry = context.registry();
-    ModeAnalyzer analyzer(&context.db(), &registry, &context.observations(),
-                          &context.member_access_index(), &context.lock_postings());
+    ModeAnalyzer analyzer(context);
     auto entries = all ? analyzer.Analyze(rules) : analyzer.FindSharedModeWrites(rules);
     ReportSection& section = AddSection(doc, "modes");
     if (entries.empty()) {
@@ -235,13 +223,7 @@ class ModesPass : public AnalysisPass {
       return Status::Ok();
     }
     for (const ModeReportEntry& entry : entries) {
-      ReportNode& node = AddTextNode(section, "mode-entry", analyzer.RenderEntry(entry));
-      node.fields = {
-          {"member", registry.QualifiedName(entry.key.type, entry.key.subclass) + "." +
-                         registry.layout(entry.key.type).member(entry.key.member).name},
-          {"access", std::string(AccessTypeName(entry.access))},
-          {"rule", LockSeqToString(entry.rule)},
-          {"suspicious", entry.suspicious ? "true" : "false"}};
+      analyzer.AddEntryNode(section, entry);
     }
     return Status::Ok();
   }

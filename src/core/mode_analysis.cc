@@ -1,25 +1,12 @@
 #include "src/core/mode_analysis.h"
 
-#include <algorithm>
-
+#include "src/core/analysis_context.h"
 #include "src/core/held_locks.h"
-#include "src/db/schema.h"
-#include "src/util/logging.h"
 #include "src/util/string_util.h"
 
 namespace lockdoc {
 
-ModeAnalyzer::ModeAnalyzer(const Database* db, const TypeRegistry* registry,
-                           const ObservationStore* store,
-                           const MemberAccessIndex* member_index,
-                           const LockPostingIndex* postings)
-    : db_(db),
-      registry_(registry),
-      store_(store),
-      member_index_(member_index),
-      postings_(postings) {
-  LOCKDOC_CHECK(db_ != nullptr && registry_ != nullptr && store_ != nullptr);
-}
+ModeAnalyzer::ModeAnalyzer(AnalysisContext& context) : context_(context) {}
 
 std::vector<ModeReportEntry> ModeAnalyzer::Analyze(
     const std::vector<DerivationResult>& results) const {
@@ -37,30 +24,14 @@ std::vector<ModeReportEntry> ModeAnalyzer::Analyze(
       entry.usages[i].lock = entry.rule[i];
     }
 
-    // Compliance scan on interned ids (string fallback for hand-built
-    // results whose classes were never observed). The shared posting lists,
-    // when available, precompute the rule's complying sequences once so each
-    // group becomes a binary-search lookup.
-    std::optional<IdSeq> rule_ids = store_->pool().FindSeq(entry.rule);
-    std::vector<uint32_t> complying;
-    bool have_complying = false;
-    if (postings_ != nullptr && rule_ids.has_value()) {
-      complying = postings_->ComplyingSeqs(*store_, *rule_ids);
-      have_complying = true;
-    }
-    const std::vector<ObservationGroup>& groups = store_->GroupsFor(result.key);
-    auto visit_group = [&](const ObservationGroup& group) {
-      bool complies =
-          have_complying
-              ? std::binary_search(complying.begin(), complying.end(), group.lockseq_id)
-              : (rule_ids.has_value()
-                     ? IsSubsequenceIds(*rule_ids, store_->id_seq(group.lockseq_id))
-                     : IsSubsequence(entry.rule, store_->seq(group.lockseq_id)));
+    RuleCompliance compliance = context_.Compliance(entry.rule);
+    compliance.ForEachGroup(result.key, result.access,
+                            [&](const ObservationGroup& group, bool complies) {
       if (!complies) {
         return;  // Only complying observations characterize the rule.
       }
       std::vector<HeldLockInfo> held =
-          ClassifyHeldLocks(*db_, *registry_, group.txn_id, group.alloc_id);
+          ClassifyHeldLocks(context_.db(), context_.registry(), group.txn_id, group.alloc_id);
       // Greedy subsequence match to attribute a mode to each rule lock.
       size_t rule_pos = 0;
       for (const HeldLockInfo& h : held) {
@@ -76,20 +47,7 @@ std::vector<ModeReportEntry> ModeAnalyzer::Analyze(
           ++rule_pos;
         }
       }
-    };
-    if (member_index_ != nullptr) {
-      if (const MemberAccessIndex::Entry* member_entry = member_index_->Find(result.key)) {
-        for (uint32_t index : member_entry->For(result.access)) {
-          visit_group(groups[index]);
-        }
-      }
-    } else {
-      for (const ObservationGroup& group : groups) {
-        if (group.effective() == result.access) {
-          visit_group(group);
-        }
-      }
-    }
+    });
 
     if (result.access == AccessType::kWrite) {
       for (const ModeUsage& usage : entry.usages) {
@@ -111,9 +69,7 @@ std::vector<ModeReportEntry> ModeAnalyzer::FindSharedModeWrites(
 }
 
 std::string ModeAnalyzer::RenderEntry(const ModeReportEntry& entry) const {
-  std::string member =
-      registry_->QualifiedName(entry.key.type, entry.key.subclass) + "." +
-      registry_->layout(entry.key.type).member(entry.key.member).name;
+  std::string member = QualifiedMemberName(context_.registry(), entry.key);
   std::string out =
       StrFormat("%s [%s]: %s%s\n", member.c_str(), AccessTypeName(entry.access),
                 LockSeqToString(entry.rule).c_str(),
@@ -131,12 +87,12 @@ std::string ModeAnalyzer::RenderEntry(const ModeReportEntry& entry) const {
   return out;
 }
 
-std::string ModeAnalyzer::Render(const std::vector<ModeReportEntry>& entries) const {
-  std::string out;
-  for (const ModeReportEntry& entry : entries) {
-    out += RenderEntry(entry);
-  }
-  return out;
+void ModeAnalyzer::AddEntryNode(ReportSection& section, const ModeReportEntry& entry) const {
+  ReportNode& node = AddTextNode(section, "mode-entry", RenderEntry(entry));
+  node.fields = {{"member", QualifiedMemberName(context_.registry(), entry.key)},
+                 {"access", AccessTypeName(entry.access)},
+                 {"rule", LockSeqToString(entry.rule)},
+                 {"suspicious", entry.suspicious ? "true" : "false"}};
 }
 
 }  // namespace lockdoc

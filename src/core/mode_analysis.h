@@ -14,10 +14,11 @@
 #include <vector>
 
 #include "src/core/derivator.h"
-#include "src/db/database.h"
-#include "src/model/type_registry.h"
+#include "src/report/ir.h"
 
 namespace lockdoc {
+
+class AnalysisContext;
 
 // Mode distribution of one lock within one winning rule.
 struct ModeUsage {
@@ -43,13 +44,9 @@ struct ModeReportEntry {
 
 class ModeAnalyzer {
  public:
-  // All of `db`, `registry`, `store` must outlive the analyzer. The optional
-  // shared indexes (typically owned by an AnalysisContext) replace the
-  // per-rule store re-scans; entries are identical with or without them.
-  ModeAnalyzer(const Database* db, const TypeRegistry* registry,
-               const ObservationStore* store,
-               const MemberAccessIndex* member_index = nullptr,
-               const LockPostingIndex* postings = nullptr);
+  // Reads the database, registry, observations and shared indexes from
+  // `context`, which must outlive the analyzer.
+  explicit ModeAnalyzer(AnalysisContext& context);
 
   // Annotates every derivation result whose winner names at least one
   // reader/writer-capable lock. Entries are in `results` order.
@@ -59,18 +56,16 @@ class ModeAnalyzer {
   std::vector<ModeReportEntry> FindSharedModeWrites(
       const std::vector<DerivationResult>& results) const;
 
-  // Text rendering of one entry (the report IR keeps one node per entry).
+  // Text rendering of one entry.
   std::string RenderEntry(const ModeReportEntry& entry) const;
 
-  // Text rendering of a report: the concatenated entries.
-  std::string Render(const std::vector<ModeReportEntry>& entries) const;
+  // Appends `entry` as one "mode-entry" node (its text plus the member,
+  // access, rule and suspicious fields) — shared by the modes pass and the
+  // report's modes section.
+  void AddEntryNode(ReportSection& section, const ModeReportEntry& entry) const;
 
  private:
-  const Database* db_;
-  const TypeRegistry* registry_;
-  const ObservationStore* store_;
-  const MemberAccessIndex* member_index_;
-  const LockPostingIndex* postings_;
+  AnalysisContext& context_;
 };
 
 }  // namespace lockdoc

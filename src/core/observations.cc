@@ -211,6 +211,23 @@ std::vector<uint32_t> LockPostingIndex::ComplyingSeqs(const ObservationStore& st
   return candidates;
 }
 
+RuleCompliance::RuleCompliance(const ObservationStore& store, const MemberAccessIndex& members,
+                               const LockPostingIndex& postings, const LockSeq& rule)
+    : store_(&store), members_(&members) {
+  if (std::optional<IdSeq> rule_ids = store.pool().FindSeq(rule)) {
+    complying_ = postings.ComplyingSeqs(store, *rule_ids);
+  }
+}
+
+bool RuleCompliance::Complies(const ObservationGroup& group) const {
+  return std::binary_search(complying_.begin(), complying_.end(), group.lockseq_id);
+}
+
+std::string QualifiedMemberName(const TypeRegistry& registry, const MemberObsKey& key) {
+  return registry.QualifiedName(key.type, key.subclass) + "." +
+         registry.layout(key.type).member(key.member).name;
+}
+
 namespace {
 
 // Resolves one lock instance (a row of the locks table) to its class

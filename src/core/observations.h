@@ -9,6 +9,7 @@
 #include <compare>
 #include <map>
 #include <memory>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -116,11 +117,10 @@ class ObservationStore {
 // Per-(member, access-type) view over a store's observation groups: for
 // every observed member, the indices (into GroupsFor(key)) of the groups
 // whose *effective* access type is read resp. write. Built once from a
-// store and then shared read-only by every analysis consumer — the checker,
-// the violation finder, and the mode analyzer all need "the write
-// observations of member m" and previously each re-scanned (and re-filtered
-// by effective()) the full group list per query. The index is a pure
-// function of the store, so it is deterministic at any thread count.
+// store and then shared read-only: RuleCompliance picks "the write
+// observations of member m" from it for every phase-3 analyzer. The index
+// is a pure function of the store, so it is deterministic at any thread
+// count.
 class MemberAccessIndex {
  public:
   struct Entry {
@@ -170,6 +170,45 @@ class LockPostingIndex {
 
   static const std::vector<uint32_t> kEmptyPostings;
 };
+
+// The one compliance decision of phase-3 analysis (paper Sec. 5.5): an
+// observation complies with a rule when the rule's locks are an
+// order-preserving subsequence of the locks it held. The rule checker, the
+// violation finder and the mode analyzer all ask it here, and all pick the
+// groups of a (member, access) pair the same way. Built once per rule: the
+// rule's complying-sequence set is precomputed from the posting lists, so
+// each group is a binary-search lookup. A rule naming a lock class that was
+// never interned complies with no observation, because every observed
+// sequence holds only interned classes. All three indexes must outlive it.
+class RuleCompliance {
+ public:
+  RuleCompliance(const ObservationStore& store, const MemberAccessIndex& members,
+                 const LockPostingIndex& postings, const LockSeq& rule);
+
+  // Calls visit(group, complies) for every observation group of `key` whose
+  // effective access type is `access`, in store order.
+  template <typename Visit>
+  void ForEachGroup(const MemberObsKey& key, AccessType access, Visit&& visit) const {
+    const MemberAccessIndex::Entry* entry = members_->Find(key);
+    if (entry == nullptr) {
+      return;
+    }
+    const std::vector<ObservationGroup>& groups = store_->GroupsFor(key);
+    for (uint32_t index : entry->For(access)) {
+      visit(groups[index], Complies(groups[index]));
+    }
+  }
+
+ private:
+  bool Complies(const ObservationGroup& group) const;
+
+  const ObservationStore* store_;
+  const MemberAccessIndex* members_;
+  std::vector<uint32_t> complying_;  // Ascending lockseq ids.
+};
+
+// "inode:ext4.i_hash": the qualified population name plus the member name.
+std::string QualifiedMemberName(const TypeRegistry& registry, const MemberObsKey& key);
 
 // Builds the observation store from an imported database. The database's
 // own string pool resolves interned strings; `registry` resolves member

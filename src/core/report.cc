@@ -55,17 +55,9 @@ ReportDocument BuildReportDocument(AnalysisContext& context, const ReportOptions
           section, "parse-error", "rule parse error: " + rules.status().message() + "\n");
       node.fields = {{"error", rules.status().message()}};
     } else {
-      RuleChecker checker(&registry, &snapshot.observations, &context.member_access_index(),
-                          &context.lock_postings());
-      ReportNode& node = AddTable(section, "validation-summary",
-                                  {"Data Type", "#R", "#No", "#Ob", "! (%)", "~ (%)", "# (%)"});
-      for (const RuleCheckSummary& s :
-           RuleChecker::Summarize(checker.CheckAll(rules.value(), &context.pool()))) {
-        node.table.rows.push_back(
-            {s.type_name, std::to_string(s.documented), std::to_string(s.unobserved),
-             std::to_string(s.observed), StrFormat("%.2f", s.correct_pct()),
-             StrFormat("%.2f", s.ambivalent_pct()), StrFormat("%.2f", s.incorrect_pct())});
-      }
+      RuleChecker checker(context);
+      AddCheckSummaryTable(section, "validation-summary",
+                           RuleChecker::Summarize(checker.CheckAll(rules.value())));
     }
   }
 
@@ -117,9 +109,8 @@ ReportDocument BuildReportDocument(AnalysisContext& context, const ReportOptions
   {
     ReportSection& section =
         AddHeadedSection(doc, "violations", "locking-rule violations");
-    ViolationFinder finder(&snapshot.db, &registry, &snapshot.observations,
-                           &context.member_access_index(), &context.lock_postings());
-    std::vector<Violation> violations = finder.FindAll(derived, &context.pool());
+    ViolationFinder finder(context);
+    std::vector<Violation> violations = finder.FindAll(derived);
     ReportNode& table = AddTable(section, "violation-summary",
                                  {"Data Type", "Events", "Members", "Contexts"});
     uint64_t total = 0;
@@ -177,21 +168,13 @@ ReportDocument BuildReportDocument(AnalysisContext& context, const ReportOptions
   if (options.modes) {
     ReportSection& section =
         AddHeadedSection(doc, "modes", "reader/writer acquisition modes");
-    ModeAnalyzer analyzer(&snapshot.db, &registry, &snapshot.observations,
-                          &context.member_access_index(), &context.lock_postings());
+    ModeAnalyzer analyzer(context);
     auto suspicious = analyzer.FindSharedModeWrites(derived);
     if (suspicious.empty()) {
       AddTextNode(section, "empty", "no writes under merely-shared holds\n");
-    } else {
-      for (const ModeReportEntry& entry : suspicious) {
-        ReportNode& node = AddTextNode(section, "mode-entry", analyzer.RenderEntry(entry));
-        node.fields = {
-            {"member", registry.QualifiedName(entry.key.type, entry.key.subclass) + "." +
-                           registry.layout(entry.key.type).member(entry.key.member).name},
-            {"access", AccessTypeName(entry.access)},
-            {"rule", LockSeqToString(entry.rule)},
-            {"suspicious", entry.suspicious ? "true" : "false"}};
-      }
+    }
+    for (const ModeReportEntry& entry : suspicious) {
+      analyzer.AddEntryNode(section, entry);
     }
   }
 

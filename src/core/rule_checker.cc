@@ -1,9 +1,9 @@
 #include "src/core/rule_checker.h"
 
-#include <algorithm>
 #include <map>
 
-#include "src/util/logging.h"
+#include "src/core/analysis_context.h"
+#include "src/util/string_util.h"
 
 namespace lockdoc {
 
@@ -33,25 +33,19 @@ double RuleCheckSummary::incorrect_pct() const {
                        : 100.0 * static_cast<double>(incorrect) / static_cast<double>(observed);
 }
 
-RuleChecker::RuleChecker(const TypeRegistry* registry, const ObservationStore* store,
-                         const MemberAccessIndex* member_index,
-                         const LockPostingIndex* postings)
-    : registry_(registry), store_(store), member_index_(member_index), postings_(postings) {
-  LOCKDOC_CHECK(registry_ != nullptr);
-  LOCKDOC_CHECK(store_ != nullptr);
-}
+RuleChecker::RuleChecker(AnalysisContext& context) : context_(context) {}
 
 RuleCheckResult RuleChecker::Check(const LockingRule& rule) const {
   RuleCheckResult result;
   result.rule = rule;
 
-  std::optional<TypeId> type = registry_->FindType(rule.member.type_name);
+  const TypeRegistry& registry = context_.registry();
+  std::optional<TypeId> type = registry.FindType(rule.member.type_name);
   if (!type.has_value()) {
     result.verdict = RuleVerdict::kUnobserved;
     return result;
   }
-  std::optional<MemberIndex> member =
-      registry_->layout(*type).FindMember(rule.member.member_name);
+  std::optional<MemberIndex> member = registry.layout(*type).FindMember(rule.member.member_name);
   if (!member.has_value()) {
     result.verdict = RuleVerdict::kUnobserved;
     return result;
@@ -63,11 +57,11 @@ RuleCheckResult RuleChecker::Check(const LockingRule& rule) const {
   std::vector<SubclassId> subclasses;
   if (rule.member.subclass.empty()) {
     subclasses.push_back(kNoSubclass);
-    for (SubclassId sub : registry_->SubclassesOf(*type)) {
+    for (SubclassId sub : registry.SubclassesOf(*type)) {
       subclasses.push_back(sub);
     }
   } else {
-    std::optional<SubclassId> sub = registry_->FindSubclass(*type, rule.member.subclass);
+    std::optional<SubclassId> sub = registry.FindSubclass(*type, rule.member.subclass);
     if (!sub.has_value()) {
       result.verdict = RuleVerdict::kUnobserved;
       return result;
@@ -75,54 +69,18 @@ RuleCheckResult RuleChecker::Check(const LockingRule& rule) const {
     subclasses.push_back(*sub);
   }
 
-  // Intern the documented rule once; a rule naming a lock class that was
-  // never observed cannot comply with any interned observation, so only the
-  // totals count for it. With the shared posting lists, the rule's
-  // complying-sequence set is computed once here and each group below is a
-  // binary-search lookup instead of a subsequence scan.
-  std::optional<IdSeq> rule_ids = store_->pool().FindSeq(rule.locks);
-  std::vector<uint32_t> complying;
-  bool have_complying = false;
-  if (postings_ != nullptr && rule_ids.has_value()) {
-    complying = postings_->ComplyingSeqs(*store_, *rule_ids);
-    have_complying = true;
-  }
-  auto group_complies = [&](const ObservationGroup& group) {
-    if (!rule_ids.has_value()) {
-      return false;
-    }
-    return have_complying
-               ? std::binary_search(complying.begin(), complying.end(), group.lockseq_id)
-               : IsSubsequenceIds(*rule_ids, store_->id_seq(group.lockseq_id));
-  };
+  RuleCompliance compliance = context_.Compliance(rule.locks);
   for (SubclassId sub : subclasses) {
     MemberObsKey key;
     key.type = *type;
     key.subclass = sub;
     key.member = *member;
-    const std::vector<ObservationGroup>& groups = store_->GroupsFor(key);
-    if (member_index_ != nullptr) {
-      const MemberAccessIndex::Entry* entry = member_index_->Find(key);
-      if (entry == nullptr) {
-        continue;
-      }
-      for (uint32_t index : entry->For(rule.access)) {
-        ++result.total;
-        if (group_complies(groups[index])) {
-          ++result.sa;
-        }
-      }
-      continue;
-    }
-    for (const ObservationGroup& group : groups) {
-      if (group.effective() != rule.access) {
-        continue;
-      }
+    compliance.ForEachGroup(key, rule.access, [&](const ObservationGroup&, bool complies) {
       ++result.total;
-      if (group_complies(group)) {
+      if (complies) {
         ++result.sa;
       }
-    }
+    });
   }
 
   if (result.total == 0) {
@@ -140,19 +98,13 @@ RuleCheckResult RuleChecker::Check(const LockingRule& rule) const {
   return result;
 }
 
-std::vector<RuleCheckResult> RuleChecker::CheckAll(const RuleSet& rules,
-                                                   ThreadPool* pool) const {
+std::vector<RuleCheckResult> RuleChecker::CheckAll(const RuleSet& rules) const {
   std::vector<RuleCheckResult> results(rules.size());
-  auto check_range = [&](size_t begin, size_t end) {
+  context_.pool().ParallelFor(rules.size(), [&](size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) {
       results[i] = Check(rules.rules()[i]);
     }
-  };
-  if (pool != nullptr) {
-    pool->ParallelFor(rules.size(), check_range);
-  } else {
-    check_range(0, rules.size());
-  }
+  });
   return results;
 }
 
@@ -195,6 +147,18 @@ std::vector<RuleCheckSummary> RuleChecker::Summarize(
     summaries.push_back(by_type[type_name]);
   }
   return summaries;
+}
+
+void AddCheckSummaryTable(ReportSection& section, std::string id,
+                          const std::vector<RuleCheckSummary>& summaries) {
+  ReportNode& table = AddTable(section, std::move(id),
+                               {"Data Type", "#R", "#No", "#Ob", "! (%)", "~ (%)", "# (%)"});
+  for (const RuleCheckSummary& s : summaries) {
+    table.table.rows.push_back(
+        {s.type_name, std::to_string(s.documented), std::to_string(s.unobserved),
+         std::to_string(s.observed), StrFormat("%.2f", s.correct_pct()),
+         StrFormat("%.2f", s.ambivalent_pct()), StrFormat("%.2f", s.incorrect_pct())});
+  }
 }
 
 }  // namespace lockdoc

@@ -8,12 +8,12 @@
 #include <string>
 #include <vector>
 
-#include "src/core/observations.h"
 #include "src/core/rule.h"
-#include "src/model/type_registry.h"
-#include "src/util/thread_pool.h"
+#include "src/report/ir.h"
 
 namespace lockdoc {
+
+class AnalysisContext;
 
 enum class RuleVerdict {
   kUnobserved = 0,
@@ -49,32 +49,31 @@ struct RuleCheckSummary {
 
 class RuleChecker {
  public:
-  // The index pair is optional and shared (typically owned by an
-  // AnalysisContext): `member_index` serves the per-access observation
-  // split, `postings` the per-rule complying-sequence precompute. Verdicts
-  // are identical with or without them — the indexes only skip re-scans.
-  RuleChecker(const TypeRegistry* registry, const ObservationStore* store,
-              const MemberAccessIndex* member_index = nullptr,
-              const LockPostingIndex* postings = nullptr);
+  // Reads the registry, the observations and the shared indexes from
+  // `context`, which must outlive the checker.
+  explicit RuleChecker(AnalysisContext& context);
 
   // Checks one documented rule. A rule without a subclass qualifier is
   // evaluated against the union of all subclasses of its type.
   RuleCheckResult Check(const LockingRule& rule) const;
 
-  // Checks every rule, distributed over `pool` when given (nullptr runs
-  // serially). Each rule writes its own result slot, so the returned vector
-  // is byte-identical at any thread count.
-  std::vector<RuleCheckResult> CheckAll(const RuleSet& rules, ThreadPool* pool = nullptr) const;
+  // Checks every rule over the context's pool. Each rule writes its own
+  // result slot, so the returned vector is byte-identical at any thread
+  // count.
+  std::vector<RuleCheckResult> CheckAll(const RuleSet& rules) const;
 
   // Groups results by the rule's type name (Tab. 4 rows).
   static std::vector<RuleCheckSummary> Summarize(const std::vector<RuleCheckResult>& results);
 
  private:
-  const TypeRegistry* registry_;
-  const ObservationStore* store_;
-  const MemberAccessIndex* member_index_;
-  const LockPostingIndex* postings_;
+  AnalysisContext& context_;
 };
+
+// Appends the Tab. 4 summary table as node `id` — shared by the check pass
+// ("check-summary") and the report's validation section
+// ("validation-summary").
+void AddCheckSummaryTable(ReportSection& section, std::string id,
+                          const std::vector<RuleCheckSummary>& summaries);
 
 }  // namespace lockdoc
 

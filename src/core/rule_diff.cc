@@ -83,8 +83,7 @@ std::vector<RuleDrift> DiffRules(const std::vector<DerivationResult>& old_rules,
 std::string RenderRuleDiff(const std::vector<RuleDrift>& drifts, const TypeRegistry& registry) {
   std::string out;
   for (const RuleDrift& drift : drifts) {
-    std::string member = registry.QualifiedName(drift.key.type, drift.key.subclass) + "." +
-                         registry.layout(drift.key.type).member(drift.key.member).name;
+    std::string member = QualifiedMemberName(registry, drift.key);
     switch (drift.kind) {
       case RuleDriftKind::kAdded:
         out += StrFormat("+ %s %s: %s (sr %.2f)\n", member.c_str(),

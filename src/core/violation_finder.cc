@@ -4,6 +4,7 @@
 #include <map>
 #include <set>
 
+#include "src/core/analysis_context.h"
 #include "src/core/held_locks.h"
 #include "src/db/schema.h"
 #include "src/util/logging.h"
@@ -11,22 +12,10 @@
 
 namespace lockdoc {
 
-ViolationFinder::ViolationFinder(const Database* db, const TypeRegistry* registry,
-                                 const ObservationStore* store,
-                                 const MemberAccessIndex* member_index,
-                                 const LockPostingIndex* postings)
-    : db_(db),
-      registry_(registry),
-      store_(store),
-      member_index_(member_index),
-      postings_(postings) {
-  LOCKDOC_CHECK(db_ != nullptr);
-  LOCKDOC_CHECK(registry_ != nullptr);
-  LOCKDOC_CHECK(store_ != nullptr);
-}
+ViolationFinder::ViolationFinder(AnalysisContext& context) : context_(context) {}
 
 ViolationFinder::AccessContext ViolationFinder::ContextOf(uint64_t seq) const {
-  const Table& accesses = db_->table(LockDocSchema::kAccesses);
+  const Table& accesses = context_.db().table(LockDocSchema::kAccesses);
   static const size_t kSeq = accesses.ColumnIndex("seq");
   static const size_t kType = accesses.ColumnIndex("access_type");
   static const size_t kFile = accesses.ColumnIndex("file_sid");
@@ -42,40 +31,23 @@ ViolationFinder::AccessContext ViolationFinder::ContextOf(uint64_t seq) const {
   return context;
 }
 
-std::vector<Violation> ViolationFinder::FindAll(const std::vector<DerivationResult>& results,
-                                                ThreadPool* pool) const {
+std::vector<Violation> ViolationFinder::FindAll(
+    const std::vector<DerivationResult>& results) const {
   // Each derivation result fills its own slot; slots are concatenated in
   // rule order below, keeping output identical at any thread count.
+  const ObservationStore& store = context_.observations();
   std::vector<std::vector<Violation>> slots(results.size());
-  auto find_range = [&](size_t begin, size_t end) {
+  context_.pool().ParallelFor(results.size(), [&](size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) {
       const DerivationResult& result = results[i];
       if (!result.winner.has_value() || result.winner->is_no_lock() ||
           result.winner->sr >= 1.0) {
         continue;
       }
-      // Winners come from observed combinations, so their classes are
-      // always interned; compare ids in the scan and materialize the held
-      // strings only for actual violations. A hand-built result with
-      // unknown classes falls back to the string comparison. With the
-      // shared posting lists the rule's complying sequences are computed
-      // once up front and each group is a binary-search lookup.
-      std::optional<IdSeq> rule_ids = store_->pool().FindSeq(result.winner->locks);
-      std::vector<uint32_t> complying;
-      bool have_complying = false;
-      if (postings_ != nullptr && rule_ids.has_value()) {
-        complying = postings_->ComplyingSeqs(*store_, *rule_ids);
-        have_complying = true;
-      }
-      const std::vector<ObservationGroup>& groups = store_->GroupsFor(result.key);
-      auto visit_group = [&](const ObservationGroup& group) {
-        const LockSeq& held = store_->seq(group.lockseq_id);
-        bool complies =
-            have_complying
-                ? std::binary_search(complying.begin(), complying.end(), group.lockseq_id)
-                : (rule_ids.has_value()
-                       ? IsSubsequenceIds(*rule_ids, store_->id_seq(group.lockseq_id))
-                       : IsSubsequence(result.winner->locks, held));
+      // The held strings are materialized only for actual violations.
+      RuleCompliance compliance = context_.Compliance(result.winner->locks);
+      compliance.ForEachGroup(result.key, result.access,
+                              [&](const ObservationGroup& group, bool complies) {
         if (complies) {
           return;
         }
@@ -83,7 +55,7 @@ std::vector<Violation> ViolationFinder::FindAll(const std::vector<DerivationResu
         violation.key = result.key;
         violation.access = result.access;
         violation.rule = result.winner->locks;
-        violation.held = held;
+        violation.held = store.seq(group.lockseq_id);
         for (uint64_t seq : group.seqs) {
           if (static_cast<AccessType>(ContextOf(seq).access_type) == result.access) {
             violation.seqs.push_back(seq);
@@ -92,27 +64,9 @@ std::vector<Violation> ViolationFinder::FindAll(const std::vector<DerivationResu
         if (!violation.seqs.empty()) {
           slots[i].push_back(std::move(violation));
         }
-      };
-      if (member_index_ != nullptr) {
-        if (const MemberAccessIndex::Entry* entry = member_index_->Find(result.key)) {
-          for (uint32_t index : entry->For(result.access)) {
-            visit_group(groups[index]);
-          }
-        }
-      } else {
-        for (const ObservationGroup& group : groups) {
-          if (group.effective() == result.access) {
-            visit_group(group);
-          }
-        }
-      }
+      });
     }
-  };
-  if (pool != nullptr) {
-    pool->ParallelFor(results.size(), find_range);
-  } else {
-    find_range(0, results.size());
-  }
+  });
 
   std::vector<Violation> violations;
   for (std::vector<Violation>& slot : slots) {
@@ -135,7 +89,7 @@ std::vector<ViolationSummaryRow> ViolationFinder::Summarize(
   // Include every observed (type, subclass) so clean types report zeros,
   // as in the paper's Tab. 7.
   std::map<std::pair<TypeId, SubclassId>, Agg> by_type;
-  for (const auto& [key, groups] : store_->groups()) {
+  for (const auto& [key, groups] : context_.observations().groups()) {
     by_type.try_emplace({key.type, key.subclass});
   }
   for (const Violation& violation : violations) {
@@ -152,7 +106,7 @@ std::vector<ViolationSummaryRow> ViolationFinder::Summarize(
   rows.reserve(by_type.size());
   for (const auto& [type_key, agg] : by_type) {
     ViolationSummaryRow row;
-    row.type_name = registry_->QualifiedName(type_key.first, type_key.second);
+    row.type_name = context_.registry().QualifiedName(type_key.first, type_key.second);
     row.events = agg.events;
     row.members = agg.members.size();
     row.contexts = agg.contexts.size();
@@ -171,9 +125,7 @@ ViolationFinder::ContextMap ViolationFinder::AggregateContexts(
   // (member, access, rule, held, file, line, stack).
   ContextMap contexts;
   for (const Violation& violation : violations) {
-    std::string member =
-        registry_->QualifiedName(violation.key.type, violation.key.subclass) + "." +
-        registry_->layout(violation.key.type).member(violation.key.member).name;
+    std::string member = QualifiedMemberName(context_.registry(), violation.key);
     std::string rule = LockSeqToString(violation.rule);
     std::string held = LockSeqToString(violation.held);
     for (uint64_t seq : violation.seqs) {
@@ -209,28 +161,6 @@ std::vector<const ViolationFinder::ContextMap::value_type*> ViolationFinder::Sor
   return sorted;
 }
 
-std::vector<ViolationExample> ViolationFinder::Examples(const std::vector<Violation>& violations,
-                                                        size_t limit) const {
-  ContextMap contexts = AggregateContexts(violations);
-  std::vector<ViolationExample> examples;
-  for (const ContextMap::value_type* entry : SortByEvidence(contexts)) {
-    if (examples.size() >= limit) {
-      break;
-    }
-    const ContextKey& key = entry->first;
-    ViolationExample example;
-    example.member = std::get<0>(key);
-    example.access = std::get<1>(key);
-    example.rule = std::get<2>(key);
-    example.held = std::get<3>(key);
-    example.location = DbFormatLoc(*db_, std::get<4>(key), std::get<5>(key));
-    example.stack = DbFormatStack(*db_, std::get<6>(key));
-    example.events = entry->second.events;
-    examples.push_back(std::move(example));
-  }
-  return examples;
-}
-
 namespace {
 
 // The function names of one recorded stack, innermost first; empty for a
@@ -258,24 +188,11 @@ std::vector<std::string> StackFunctionNames(const Database& db, uint64_t stack_i
 
 NearestComplyingAccess ViolationFinder::NearestComplying(const Violation& violation,
                                                          uint64_t rep_seq) const {
-  // Mirror FindAll's compliance test for this (member, access, rule): a
-  // group complies when the rule is a subsequence of its held locks.
-  std::optional<IdSeq> rule_ids = store_->pool().FindSeq(violation.rule);
-  std::vector<uint32_t> complying;
-  bool have_complying = false;
-  if (postings_ != nullptr && rule_ids.has_value()) {
-    complying = postings_->ComplyingSeqs(*store_, *rule_ids);
-    have_complying = true;
-  }
   NearestComplyingAccess nearest;
   uint32_t nearest_lockseq = 0;
-  auto visit_group = [&](const ObservationGroup& group) {
-    bool complies =
-        have_complying
-            ? std::binary_search(complying.begin(), complying.end(), group.lockseq_id)
-            : (rule_ids.has_value()
-                   ? IsSubsequenceIds(*rule_ids, store_->id_seq(group.lockseq_id))
-                   : IsSubsequence(violation.rule, store_->seq(group.lockseq_id)));
+  RuleCompliance compliance = context_.Compliance(violation.rule);
+  compliance.ForEachGroup(violation.key, violation.access,
+                          [&](const ObservationGroup& group, bool complies) {
     if (!complies) {
       return;
     }
@@ -292,26 +209,13 @@ NearestComplyingAccess ViolationFinder::NearestComplying(const Violation& violat
         nearest_lockseq = group.lockseq_id;
       }
     }
-  };
-  const std::vector<ObservationGroup>& groups = store_->GroupsFor(violation.key);
-  if (member_index_ != nullptr) {
-    if (const MemberAccessIndex::Entry* entry = member_index_->Find(violation.key)) {
-      for (uint32_t index : entry->For(violation.access)) {
-        visit_group(groups[index]);
-      }
-    }
-  } else {
-    for (const ObservationGroup& group : groups) {
-      if (group.effective() == violation.access) {
-        visit_group(group);
-      }
-    }
-  }
+  });
   if (nearest.present) {
+    const Database& db = context_.db();
     AccessContext context = ContextOf(nearest.seq);
-    nearest.location = DbFormatLoc(*db_, context.file_sid, context.line);
-    nearest.stack = DbFormatStack(*db_, context.stack_id);
-    nearest.held = LockSeqToString(store_->seq(nearest_lockseq));
+    nearest.location = DbFormatLoc(db, context.file_sid, context.line);
+    nearest.stack = DbFormatStack(db, context.stack_id);
+    nearest.held = LockSeqToString(context_.observations().seq(nearest_lockseq));
   }
   return nearest;
 }
@@ -319,6 +223,7 @@ NearestComplyingAccess ViolationFinder::NearestComplying(const Violation& violat
 ViolationForensics ViolationFinder::Forensics(const std::vector<Violation>& violations,
                                               size_t limit,
                                               const FilterConfig* filter) const {
+  const Database& db = context_.db();
   ContextMap contexts = AggregateContexts(violations);
   std::vector<const ContextMap::value_type*> sorted = SortByEvidence(contexts);
 
@@ -349,7 +254,7 @@ ViolationForensics ViolationFinder::Forensics(const std::vector<Violation>& viol
         uint64_t stack_id = std::get<6>(entry->first);
         auto [it, inserted] = frames_cache.try_emplace(stack_id);
         if (inserted) {
-          it->second = StackFunctionNames(*db_, stack_id);
+          it->second = StackFunctionNames(db, stack_id);
         }
         for (const std::string& function : it->second) {
           if (filter->ignored_functions.count(function) != 0 ||
@@ -369,7 +274,7 @@ ViolationForensics ViolationFinder::Forensics(const std::vector<Violation>& viol
   }
   forensics.total_groups = kept.size();
 
-  const Table& accesses = db_->table(LockDocSchema::kAccesses);
+  const Table& accesses = db.table(LockDocSchema::kAccesses);
   const size_t kSeqCol = accesses.ColumnIndex("seq");
   const size_t kTxnCol = accesses.ColumnIndex("txn_id");
   const size_t kAllocCol = accesses.ColumnIndex("alloc_id");
@@ -385,12 +290,12 @@ ViolationForensics ViolationFinder::Forensics(const std::vector<Violation>& viol
     group.access = std::get<1>(key);
     group.rule = std::get<2>(key);
     group.held = std::get<3>(key);
-    group.location = DbFormatLoc(*db_, std::get<4>(key), std::get<5>(key));
-    group.stack = DbFormatStack(*db_, std::get<6>(key));
+    group.location = DbFormatLoc(db, std::get<4>(key), std::get<5>(key));
+    group.stack = DbFormatStack(db, std::get<6>(key));
     group.events = agg.events;
     group.rank = forensics.groups.size() + 1;
     group.representative_seq = agg.representative_seq;
-    group.frames = StackFunctionNames(*db_, std::get<6>(key));
+    group.frames = StackFunctionNames(db, std::get<6>(key));
 
     // Held-lock provenance of the representative violating access: class,
     // mode and acquisition site of every lock the transaction held.
@@ -399,11 +304,11 @@ ViolationForensics ViolationFinder::Forensics(const std::vector<Violation>& viol
     uint64_t txn = accesses.GetUint64(rows[0], kTxnCol);
     uint64_t alloc = accesses.GetUint64(rows[0], kAllocCol);
     if (txn != kDbNull) {
-      for (const HeldLockInfo& info : ClassifyHeldLocks(*db_, *registry_, txn, alloc)) {
+      for (const HeldLockInfo& info : ClassifyHeldLocks(db, context_.registry(), txn, alloc)) {
         HeldLockDetail detail;
         detail.lock = info.lock_class.ToString();
         detail.mode = info.mode == AcquireMode::kShared ? "shared" : "exclusive";
-        detail.acquired_at = DbFormatLoc(*db_, info.file_sid, info.line);
+        detail.acquired_at = DbFormatLoc(db, info.file_sid, info.line);
         group.held_locks.push_back(std::move(detail));
       }
     }

@@ -14,12 +14,11 @@
 #include "src/core/derivator.h"
 #include "src/core/filter_config.h"
 #include "src/core/observations.h"
-#include "src/db/database.h"
-#include "src/model/type_registry.h"
 #include "src/report/ir.h"
-#include "src/util/thread_pool.h"
 
 namespace lockdoc {
+
+class AnalysisContext;
 
 // One violating folded observation.
 struct Violation {
@@ -40,21 +39,10 @@ struct ViolationSummaryRow {
   uint64_t contexts = 0;  // Distinct (location, stack) pairs.
 };
 
-// One detailed example in the style of the paper's Tab. 8.
-struct ViolationExample {
-  std::string member;     // "inode:ext4.i_hash"
-  std::string access;     // "r"/"w"
-  std::string rule;       // Expected lock sequence.
-  std::string held;       // Locks actually held.
-  std::string location;   // "fs/inode.c:507"
-  std::string stack;      // Innermost-first call stack.
-  uint64_t events = 0;    // Violating events at this context.
-};
-
-// The forensic counterexample report: the same call-site groups as
-// Examples() — identical aggregation, order and truncation — but each
-// enriched with the held-lock provenance, the nearest complying access and
-// an evidence rank, plus blacklist-suppression accounting so filtered
+// The forensic counterexample report (the paper's Tab. 8 examples): the
+// violating events aggregated into call-site groups, ranked by evidence,
+// each enriched with the held-lock provenance, the nearest complying access
+// and an evidence rank, plus blacklist-suppression accounting so filtered
 // groups are counted, never silently dropped.
 struct ViolationForensics {
   std::vector<CexGroupData> groups;  // At most `limit`, ranked by evidence.
@@ -76,36 +64,28 @@ void AppendForensicsNotes(ReportSection& section, const ViolationForensics& fore
 
 class ViolationFinder {
  public:
-  // Violation contexts (access type, source location, stack) are resolved
-  // from the accesses table via its seq index; no trace is needed. The
-  // optional shared indexes (typically owned by an AnalysisContext) replace
-  // the per-rule store re-scans; results are identical with or without.
-  ViolationFinder(const Database* db, const TypeRegistry* registry,
-                  const ObservationStore* store,
-                  const MemberAccessIndex* member_index = nullptr,
-                  const LockPostingIndex* postings = nullptr);
+  // Reads the database, registry, observations and shared indexes from
+  // `context`, which must outlive the finder. Violation contexts (access
+  // type, source location, stack) are resolved from the accesses table via
+  // its seq index; no trace is needed.
+  explicit ViolationFinder(AnalysisContext& context);
 
   // All violations of the winning rules (rules with sr == 1 cannot be
   // violated; the no-lock rule cannot be violated either). Distributed over
-  // `pool` when given (nullptr runs serially); per-rule violation lists are
-  // concatenated in rule order, so output is byte-identical at any thread
-  // count.
-  std::vector<Violation> FindAll(const std::vector<DerivationResult>& results,
-                                 ThreadPool* pool = nullptr) const;
+  // the context's pool; per-rule violation lists are concatenated in rule
+  // order, so output is byte-identical at any thread count.
+  std::vector<Violation> FindAll(const std::vector<DerivationResult>& results) const;
 
   // Tab. 7: per qualified data type, counting every observed type even when
   // it has zero violations.
   std::vector<ViolationSummaryRow> Summarize(const std::vector<Violation>& violations) const;
 
-  // Tab. 8: the most frequent violation contexts, up to `limit`.
-  std::vector<ViolationExample> Examples(const std::vector<Violation>& violations,
-                                         size_t limit) const;
-
-  // The forensics pass over the same groups: `filter` (may be null for no
+  // Tab. 8: the violating events grouped by full context and ranked by
+  // evidence (event count, then context). `filter` (may be null for no
   // suppression) removes groups whose member is blacklisted or whose stack
-  // contains a blacklisted function, counting what it removed; surviving
-  // groups keep the Examples() order (evidence rank) and the top `limit`
-  // are enriched with held locks and the nearest complying access.
+  // contains a blacklisted function, counting what it removed; the top
+  // `limit` surviving groups are enriched with held locks and the nearest
+  // complying access.
   ViolationForensics Forensics(const std::vector<Violation>& violations, size_t limit,
                                const FilterConfig* filter = nullptr) const;
 
@@ -120,7 +100,7 @@ class ViolationFinder {
   AccessContext ContextOf(uint64_t seq) const;
 
   // (member, access, rule, held, file, line, stack) — the aggregation key
-  // shared by Examples() and Forensics().
+  // of a counterexample group.
   using ContextKey = std::tuple<std::string, std::string, std::string, std::string,
                                 uint64_t, uint64_t, uint64_t>;
   struct ContextAgg {
@@ -129,11 +109,8 @@ class ViolationFinder {
     const Violation* violation = nullptr;  // First violation feeding the group.
   };
   using ContextMap = std::map<ContextKey, ContextAgg>;
-  // Aggregates violating events by full context — the single source of
-  // truth behind both Examples() and Forensics().
   ContextMap AggregateContexts(const std::vector<Violation>& violations) const;
-  // Orders groups by event count (desc), then key (asc) — the canonical
-  // evidence ranking shared by both consumers.
+  // Orders groups by event count (desc), then key (asc) — the evidence rank.
   static std::vector<const ContextMap::value_type*> SortByEvidence(const ContextMap& map);
 
   // The complying access of `violation`'s (member, access, rule) nearest to
@@ -142,11 +119,7 @@ class ViolationFinder {
   NearestComplyingAccess NearestComplying(const Violation& violation,
                                           uint64_t rep_seq) const;
 
-  const Database* db_;
-  const TypeRegistry* registry_;
-  const ObservationStore* store_;
-  const MemberAccessIndex* member_index_;
-  const LockPostingIndex* postings_;
+  AnalysisContext& context_;
 };
 
 }  // namespace lockdoc

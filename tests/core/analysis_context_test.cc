@@ -1,7 +1,7 @@
 // AnalysisContext and the analysis-pass framework: lazy shared indexes are
-// memoized (built at most once, timed at most once), index-backed analyzers
-// agree exactly with the index-free originals, and pass outputs are
-// invariant across thread counts.
+// memoized (built at most once, timed at most once), the one compliance
+// path and the analyzers built on it agree exactly with a brute-force
+// reference, and pass outputs are invariant across thread counts.
 #include "src/core/analysis_context.h"
 
 #include <gtest/gtest.h>
@@ -9,9 +9,12 @@
 #include <thread>
 
 #include "src/core/analysis_pass.h"
+#include "src/core/held_locks.h"
 #include "src/core/mode_analysis.h"
 #include "src/core/rule_checker.h"
 #include "src/core/violation_finder.h"
+#include "src/db/schema.h"
+#include "src/vfs/mm_kernel.h"
 #include "src/vfs/vfs_kernel.h"
 #include "src/workload/workloads.h"
 
@@ -157,48 +160,229 @@ TEST_F(AnalysisContextTest, ComplyingSeqsMatchesBruteForce) {
   EXPECT_GT(rules_checked, 0u);
 }
 
+// Brute-force reference for RuleCompliance::ForEachGroup: every group of
+// `key` in store order, filtered by effective access, judged with the
+// string-level subsequence test.
+std::vector<std::pair<const ObservationGroup*, bool>> ReferenceCompliance(
+    const ObservationStore& store, const MemberObsKey& key, AccessType access,
+    const LockSeq& rule) {
+  std::vector<std::pair<const ObservationGroup*, bool>> visited;
+  for (const ObservationGroup& group : store.GroupsFor(key)) {
+    if (group.effective() == access) {
+      visited.emplace_back(&group, IsSubsequence(rule, store.seq(group.lockseq_id)));
+    }
+  }
+  return visited;
+}
+
+// The populations the rule checker scopes a documented rule to: the named
+// subclass, or the unsubclassed population plus every subclass. Empty when
+// the rule names an unknown type, member or subclass.
+std::vector<MemberObsKey> DocumentedRuleKeys(const TypeRegistry& registry,
+                                             const LockingRule& rule) {
+  std::optional<TypeId> type = registry.FindType(rule.member.type_name);
+  if (!type.has_value()) {
+    return {};
+  }
+  std::optional<MemberIndex> member = registry.layout(*type).FindMember(rule.member.member_name);
+  if (!member.has_value()) {
+    return {};
+  }
+  std::vector<SubclassId> subclasses = {kNoSubclass};
+  if (rule.member.subclass.empty()) {
+    for (SubclassId sub : registry.SubclassesOf(*type)) {
+      subclasses.push_back(sub);
+    }
+  } else {
+    std::optional<SubclassId> sub = registry.FindSubclass(*type, rule.member.subclass);
+    if (!sub.has_value()) {
+      return {};
+    }
+    subclasses = {*sub};
+  }
+  std::vector<MemberObsKey> keys;
+  for (SubclassId sub : subclasses) {
+    MemberObsKey key;
+    key.type = *type;
+    key.subclass = sub;
+    key.member = *member;
+    keys.push_back(key);
+  }
+  return keys;
+}
+
+// Compares the shared compliance helper against the reference for every
+// winning rule of `context` and every rule of `documented_text`, the latter
+// on each population the rule checker scopes it to.
+void ExpectComplianceMatchesReference(AnalysisContext& context,
+                                      const std::string& documented_text) {
+  const ObservationStore& store = context.observations();
+  size_t complying = 0;
+  size_t violating = 0;
+  auto compare = [&](const MemberObsKey& key, AccessType access, const LockSeq& rule) {
+    std::vector<std::pair<const ObservationGroup*, bool>> visited;
+    context.Compliance(rule).ForEachGroup(
+        key, access, [&](const ObservationGroup& group, bool complies) {
+          visited.emplace_back(&group, complies);
+        });
+    EXPECT_EQ(visited, ReferenceCompliance(store, key, access, rule))
+        << LockSeqToString(rule) << " [" << AccessTypeName(access) << "]";
+    for (const auto& [group, complies] : visited) {
+      ++(complies ? complying : violating);
+    }
+  };
+
+  for (const DerivationResult& result : context.rules()) {
+    if (result.winner.has_value()) {
+      compare(result.key, result.access, result.winner->locks);
+    }
+  }
+
+  auto documented = RuleSet::ParseText(documented_text);
+  ASSERT_TRUE(documented.ok());
+  for (const LockingRule& rule : documented.value().rules()) {
+    std::vector<MemberObsKey> keys = DocumentedRuleKeys(context.registry(), rule);
+    ASSERT_FALSE(keys.empty()) << rule.ToString();
+    for (const MemberObsKey& key : keys) {
+      compare(key, rule.access, rule.locks);
+    }
+  }
+  EXPECT_GT(complying, 0u);
+  EXPECT_GT(violating, 0u);
+}
+
+TEST_F(AnalysisContextTest, ComplianceMatchesBruteForceReference) {
+  AnalysisContext vfs(snapshot_, sim_->registry.get(), DefaultOptions());
+  ExpectComplianceMatchesReference(vfs, VfsKernel::DocumentedRulesText());
+
+  // The mm workload's range locks drop non-overlapping holds from the held
+  // sequences; compliance must see exactly the same sequences.
+  MixOptions mix;
+  mix.ops = 2500;
+  mix.seed = 11;
+  SimulationResult mm_sim = SimulateMmRun(mix, FaultPlan{});
+  AnalysisSnapshot mm_snapshot =
+      BuildSnapshot(mm_sim.trace, *mm_sim.registry, DefaultOptions().pipeline);
+  AnalysisContext mm(&mm_snapshot, mm_sim.registry.get(), DefaultOptions());
+  ExpectComplianceMatchesReference(mm, MmKernel::DocumentedRulesText());
+}
+
+// The analyzers built on the context against plain, index-free
+// recomputations over the brute-force reference.
 TEST_F(AnalysisContextTest, IndexedCheckerMatchesPlain) {
   auto rules = RuleSet::ParseText(VfsKernel::DocumentedRulesText());
   ASSERT_TRUE(rules.ok());
   AnalysisContext context(snapshot_, sim_->registry.get(), DefaultOptions());
-  RuleChecker plain(sim_->registry.get(), &snapshot_->observations);
-  RuleChecker indexed(sim_->registry.get(), &snapshot_->observations,
-                      &context.member_access_index(), &context.lock_postings());
-  std::vector<RuleCheckResult> a = plain.CheckAll(rules.value());
-  std::vector<RuleCheckResult> b = indexed.CheckAll(rules.value());
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].verdict, b[i].verdict);
-    EXPECT_EQ(a[i].sa, b[i].sa);
-    EXPECT_EQ(a[i].total, b[i].total);
-    EXPECT_DOUBLE_EQ(a[i].sr, b[i].sr);
+  std::vector<RuleCheckResult> results = RuleChecker(context).CheckAll(rules.value());
+  ASSERT_EQ(results.size(), rules.value().size());
+  for (size_t i = 0; i < results.size(); ++i) {
+    const LockingRule& rule = rules.value().rules()[i];
+    uint64_t sa = 0;
+    uint64_t total = 0;
+    for (const MemberObsKey& key : DocumentedRuleKeys(*sim_->registry, rule)) {
+      for (const auto& [group, complies] :
+           ReferenceCompliance(snapshot_->observations, key, rule.access, rule.locks)) {
+        ++total;
+        sa += complies ? 1 : 0;
+      }
+    }
+    RuleVerdict verdict = total == 0      ? RuleVerdict::kUnobserved
+                          : sa == total ? RuleVerdict::kCorrect
+                          : sa == 0     ? RuleVerdict::kIncorrect
+                                        : RuleVerdict::kAmbivalent;
+    EXPECT_EQ(results[i].verdict, verdict) << rule.ToString();
+    EXPECT_EQ(results[i].sa, sa) << rule.ToString();
+    EXPECT_EQ(results[i].total, total) << rule.ToString();
+    EXPECT_DOUBLE_EQ(results[i].sr, total == 0 ? 0.0 : static_cast<double>(sa) / total);
   }
 }
 
 TEST_F(AnalysisContextTest, IndexedFinderMatchesPlain) {
   AnalysisContext context(snapshot_, sim_->registry.get(), DefaultOptions());
   const std::vector<DerivationResult>& rules = context.rules();
-  ViolationFinder plain(&snapshot_->db, sim_->registry.get(), &snapshot_->observations);
-  ViolationFinder indexed(&snapshot_->db, sim_->registry.get(), &snapshot_->observations,
-                          &context.member_access_index(), &context.lock_postings());
-  std::vector<Violation> a = plain.FindAll(rules);
-  std::vector<Violation> b = indexed.FindAll(rules);
-  ASSERT_EQ(a.size(), b.size());
-  EXPECT_FALSE(a.empty());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(LockSeqToString(a[i].rule), LockSeqToString(b[i].rule));
-    EXPECT_EQ(LockSeqToString(a[i].held), LockSeqToString(b[i].held));
-    EXPECT_EQ(a[i].seqs, b[i].seqs);
+  const ObservationStore& store = snapshot_->observations;
+  const Table& accesses = snapshot_->db.table(LockDocSchema::kAccesses);
+  const size_t seq_column = accesses.ColumnIndex("seq");
+  const size_t type_column = accesses.ColumnIndex("access_type");
+  std::vector<Violation> expected;
+  for (const DerivationResult& result : rules) {
+    if (!result.winner.has_value() || result.winner->is_no_lock() ||
+        result.winner->sr >= 1.0) {
+      continue;
+    }
+    for (const auto& [group, complies] :
+         ReferenceCompliance(store, result.key, result.access, result.winner->locks)) {
+      if (complies) {
+        continue;
+      }
+      Violation violation;
+      violation.rule = result.winner->locks;
+      violation.held = store.seq(group->lockseq_id);
+      for (uint64_t seq : group->seqs) {
+        std::vector<RowId> rows = accesses.LookupEqual(seq_column, seq);
+        ASSERT_EQ(rows.size(), 1u);
+        if (static_cast<AccessType>(accesses.GetUint64(rows[0], type_column)) ==
+            result.access) {
+          violation.seqs.push_back(seq);
+        }
+      }
+      if (!violation.seqs.empty()) {
+        expected.push_back(std::move(violation));
+      }
+    }
+  }
+  std::vector<Violation> found = ViolationFinder(context).FindAll(rules);
+  ASSERT_EQ(found.size(), expected.size());
+  EXPECT_FALSE(found.empty());
+  for (size_t i = 0; i < found.size(); ++i) {
+    EXPECT_EQ(LockSeqToString(found[i].rule), LockSeqToString(expected[i].rule));
+    EXPECT_EQ(LockSeqToString(found[i].held), LockSeqToString(expected[i].held));
+    EXPECT_EQ(found[i].seqs, expected[i].seqs);
   }
 }
 
 TEST_F(AnalysisContextTest, IndexedModesMatchPlain) {
   AnalysisContext context(snapshot_, sim_->registry.get(), DefaultOptions());
   const std::vector<DerivationResult>& rules = context.rules();
-  ModeAnalyzer plain(&snapshot_->db, sim_->registry.get(), &snapshot_->observations);
-  ModeAnalyzer indexed(&snapshot_->db, sim_->registry.get(), &snapshot_->observations,
-                       &context.member_access_index(), &context.lock_postings());
-  EXPECT_EQ(plain.Render(plain.Analyze(rules)), indexed.Render(indexed.Analyze(rules)));
+  ModeAnalyzer analyzer(context);
+  std::string expected;
+  for (const DerivationResult& result : rules) {
+    if (!result.winner.has_value() || result.winner->locks.empty()) {
+      continue;
+    }
+    ModeReportEntry entry;
+    entry.key = result.key;
+    entry.access = result.access;
+    entry.rule = result.winner->locks;
+    for (const LockClass& lock : entry.rule) {
+      entry.usages.push_back(ModeUsage{lock});
+    }
+    for (const auto& [group, complies] : ReferenceCompliance(
+             snapshot_->observations, result.key, result.access, entry.rule)) {
+      if (!complies) {
+        continue;
+      }
+      size_t rule_pos = 0;
+      for (const HeldLockInfo& held : ClassifyHeldLocks(snapshot_->db, *sim_->registry,
+                                                        group->txn_id, group->alloc_id)) {
+        if (rule_pos < entry.rule.size() && held.lock_class == entry.rule[rule_pos]) {
+          ++(held.mode == AcquireMode::kShared ? entry.usages[rule_pos].shared
+                                               : entry.usages[rule_pos].exclusive);
+          ++rule_pos;
+        }
+      }
+    }
+    for (const ModeUsage& usage : entry.usages) {
+      entry.suspicious |= result.access == AccessType::kWrite && usage.shared > 0;
+    }
+    expected += analyzer.RenderEntry(entry);
+  }
+  std::string rendered;
+  for (const ModeReportEntry& entry : analyzer.Analyze(rules)) {
+    rendered += analyzer.RenderEntry(entry);
+  }
+  EXPECT_FALSE(rendered.empty());
+  EXPECT_EQ(rendered, expected);
 }
 
 TEST_F(AnalysisContextTest, RegistryHasCanonicalPassOrder) {

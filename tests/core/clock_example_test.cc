@@ -3,7 +3,7 @@
 
 #include <gtest/gtest.h>
 
-#include "src/core/pipeline.h"
+#include "src/core/analysis_context.h"
 #include "src/core/violation_finder.h"
 
 namespace lockdoc {
@@ -38,11 +38,12 @@ TEST(ClockExampleTest, MinutesWinnerIsFullChainDespiteBug) {
 TEST(ClockExampleTest, FaultyExecutionDetectedAsViolation) {
   ClockExample example = BuildClockExample();
   PipelineResult result = RunPipeline(example.trace, *example.registry);
-  ViolationFinder finder(&result.snapshot.db, example.registry.get(), &result.snapshot.observations);
+  AnalysisContext context(&result.snapshot, example.registry.get());
+  ViolationFinder finder(context);
   std::vector<Violation> violations = finder.FindAll(result.rules);
   ASSERT_EQ(violations.size(), 1u);
   EXPECT_EQ(LockSeqToString(violations[0].held), "sec_lock");
-  auto examples = finder.Examples(violations, 1);
+  std::vector<CexGroupData> examples = finder.Forensics(violations, 1).groups;
   ASSERT_EQ(examples.size(), 1u);
   EXPECT_NE(examples[0].stack.find("clock_tick_buggy"), std::string::npos);
 }
@@ -56,7 +57,8 @@ TEST(ClockExampleTest, WithoutFaultEverythingIsPerfect) {
     ASSERT_TRUE(rule.winner.has_value());
     EXPECT_DOUBLE_EQ(rule.winner->sr, 1.0);
   }
-  ViolationFinder finder(&result.snapshot.db, example.registry.get(), &result.snapshot.observations);
+  AnalysisContext context(&result.snapshot, example.registry.get());
+  ViolationFinder finder(context);
   EXPECT_TRUE(finder.FindAll(result.rules).empty());
 }
 

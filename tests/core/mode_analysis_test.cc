@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
+#include "src/core/analysis_context.h"
 #include "tests/core/test_helpers.h"
 
 namespace lockdoc {
@@ -9,15 +12,14 @@ namespace {
 
 struct ModeWorld {
   TestWorld world;
-  Database db;
-  ObservationStore store;
+  AnalysisSnapshot snapshot;
+  std::unique_ptr<AnalysisContext> context;
   std::vector<DerivationResult> rules;
 
   void Finish() {
-    world.Import(&db);
-    store = ExtractObservations(db, *world.registry);
-    RuleDerivator derivator;
-    rules = derivator.DeriveAll(store);
+    snapshot = world.Snapshot();
+    context = std::make_unique<AnalysisContext>(&snapshot, world.registry.get());
+    rules = context->rules();
   }
 };
 
@@ -35,7 +37,7 @@ TEST(ModeAnalysisTest, ExclusiveOnlyWritesAreNotSuspicious) {
     m.world.sim->Destroy(obj, 5);
   }
   m.Finish();
-  ModeAnalyzer analyzer(&m.db, m.world.registry.get(), &m.store);
+  ModeAnalyzer analyzer(*m.context);
   auto entries = analyzer.Analyze(m.rules);
   ASSERT_FALSE(entries.empty());
   for (const ModeReportEntry& entry : entries) {
@@ -63,7 +65,7 @@ TEST(ModeAnalysisTest, WriteUnderSharedHoldIsFlagged) {
     m.world.sim->Destroy(obj, 8);
   }
   m.Finish();
-  ModeAnalyzer analyzer(&m.db, m.world.registry.get(), &m.store);
+  ModeAnalyzer analyzer(*m.context);
   auto suspicious = analyzer.FindSharedModeWrites(m.rules);
   ASSERT_EQ(suspicious.size(), 1u);
   ASSERT_EQ(suspicious[0].usages.size(), 1u);
@@ -71,7 +73,7 @@ TEST(ModeAnalysisTest, WriteUnderSharedHoldIsFlagged) {
   EXPECT_EQ(suspicious[0].usages[0].exclusive, 4u);
   EXPECT_NEAR(suspicious[0].usages[0].shared_fraction(), 0.2, 1e-9);
 
-  std::string text = analyzer.Render(suspicious);
+  std::string text = analyzer.RenderEntry(suspicious[0]);
   EXPECT_NE(text.find("write under shared hold"), std::string::npos);
   EXPECT_NE(text.find("shared=1 exclusive=4"), std::string::npos);
 }
@@ -90,7 +92,7 @@ TEST(ModeAnalysisTest, SharedReadsAreFine) {
     m.world.sim->Destroy(obj, 5);
   }
   m.Finish();
-  ModeAnalyzer analyzer(&m.db, m.world.registry.get(), &m.store);
+  ModeAnalyzer analyzer(*m.context);
   auto entries = analyzer.Analyze(m.rules);
   ASSERT_EQ(entries.size(), 1u);
   EXPECT_EQ(entries[0].access, AccessType::kRead);
@@ -107,7 +109,7 @@ TEST(ModeAnalysisTest, NoLockWinnersAreSkipped) {
     m.world.sim->Destroy(obj, 3);
   }
   m.Finish();
-  ModeAnalyzer analyzer(&m.db, m.world.registry.get(), &m.store);
+  ModeAnalyzer analyzer(*m.context);
   EXPECT_TRUE(analyzer.Analyze(m.rules).empty());
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/core/analysis_context.h"
 #include "tests/core/test_helpers.h"
 
 namespace lockdoc {
@@ -32,8 +33,9 @@ LockingRule MakeRule(const std::string& member, AccessType access, const std::st
 
 TEST(RuleCheckerTest, AmbivalentRule) {
   TestWorld world = MakeMostlyLockedWorld();
-  ObservationStore store = world.Extract();
-  RuleChecker checker(world.registry.get(), &store);
+  AnalysisSnapshot snapshot = world.Snapshot();
+  AnalysisContext context(&snapshot, world.registry.get());
+  RuleChecker checker(context);
   RuleCheckResult result =
       checker.Check(MakeRule("data", AccessType::kWrite, "ES(w_lock in widget)"));
   EXPECT_EQ(result.verdict, RuleVerdict::kAmbivalent);
@@ -52,8 +54,9 @@ TEST(RuleCheckerTest, CorrectRule) {
     world.sim->Unlock(obj, world.spin, 4);
     world.sim->Destroy(obj, 5);
   }
-  ObservationStore store = world.Extract();
-  RuleChecker checker(world.registry.get(), &store);
+  AnalysisSnapshot snapshot = world.Snapshot();
+  AnalysisContext context(&snapshot, world.registry.get());
+  RuleChecker checker(context);
   RuleCheckResult result =
       checker.Check(MakeRule("extra", AccessType::kWrite, "ES(w_lock in widget)"));
   EXPECT_EQ(result.verdict, RuleVerdict::kCorrect);
@@ -62,18 +65,35 @@ TEST(RuleCheckerTest, CorrectRule) {
 
 TEST(RuleCheckerTest, IncorrectRule) {
   TestWorld world = MakeMostlyLockedWorld();
-  ObservationStore store = world.Extract();
-  RuleChecker checker(world.registry.get(), &store);
+  AnalysisSnapshot snapshot = world.Snapshot();
+  AnalysisContext context(&snapshot, world.registry.get());
+  RuleChecker checker(context);
   RuleCheckResult result =
       checker.Check(MakeRule("data", AccessType::kWrite, "global_b"));
   EXPECT_EQ(result.verdict, RuleVerdict::kIncorrect);
   EXPECT_EQ(result.sa, 0u);
 }
 
+TEST(RuleCheckerTest, NeverAcquiredLockClassIsIncorrect) {
+  TestWorld world = MakeMostlyLockedWorld();
+  AnalysisSnapshot snapshot = world.Snapshot();
+  AnalysisContext context(&snapshot, world.registry.get());
+  RuleChecker checker(context);
+  // Neither lock class was ever acquired, so neither was interned; every
+  // observation of the member still counts, and none complies.
+  for (const char* locks : {"ES(w_mutex in widget)", "global_a -> ES(w_lock in widget)"}) {
+    RuleCheckResult result = checker.Check(MakeRule("data", AccessType::kWrite, locks));
+    EXPECT_EQ(result.verdict, RuleVerdict::kIncorrect) << locks;
+    EXPECT_EQ(result.sa, 0u) << locks;
+    EXPECT_EQ(result.total, 10u) << locks;
+  }
+}
+
 TEST(RuleCheckerTest, UnobservedCases) {
   TestWorld world = MakeMostlyLockedWorld();
-  ObservationStore store = world.Extract();
-  RuleChecker checker(world.registry.get(), &store);
+  AnalysisSnapshot snapshot = world.Snapshot();
+  AnalysisContext context(&snapshot, world.registry.get());
+  RuleChecker checker(context);
   // Never-read member.
   EXPECT_EQ(checker.Check(MakeRule("data", AccessType::kRead, "global_a")).verdict,
             RuleVerdict::kUnobserved);
@@ -87,8 +107,9 @@ TEST(RuleCheckerTest, UnobservedCases) {
 
 TEST(RuleCheckerTest, NoLockRuleIsTriviallyCorrectWhenObserved) {
   TestWorld world = MakeMostlyLockedWorld();
-  ObservationStore store = world.Extract();
-  RuleChecker checker(world.registry.get(), &store);
+  AnalysisSnapshot snapshot = world.Snapshot();
+  AnalysisContext context(&snapshot, world.registry.get());
+  RuleChecker checker(context);
   RuleCheckResult result = checker.Check(MakeRule("data", AccessType::kWrite, "no lock"));
   EXPECT_EQ(result.verdict, RuleVerdict::kCorrect);
 }
@@ -109,8 +130,9 @@ TEST(RuleCheckerTest, SubclassScoping) {
     world.sim->Destroy(r, 7);
     world.sim->Destroy(b, 8);
   }
-  ObservationStore store = world.Extract();
-  RuleChecker checker(world.registry.get(), &store);
+  AnalysisSnapshot snapshot = world.Snapshot();
+  AnalysisContext context(&snapshot, world.registry.get());
+  RuleChecker checker(context);
 
   LockingRule rule = MakeRule("data", AccessType::kWrite, "ES(w_lock in widget)");
   rule.member.subclass = "red";
@@ -123,8 +145,9 @@ TEST(RuleCheckerTest, SubclassScoping) {
 
 TEST(RuleCheckerTest, SummarizeBucketsByType) {
   TestWorld world = MakeMostlyLockedWorld();
-  ObservationStore store = world.Extract();
-  RuleChecker checker(world.registry.get(), &store);
+  AnalysisSnapshot snapshot = world.Snapshot();
+  AnalysisContext context(&snapshot, world.registry.get());
+  RuleChecker checker(context);
   RuleSet rules;
   rules.Add(MakeRule("data", AccessType::kWrite, "ES(w_lock in widget)"));   // ~
   rules.Add(MakeRule("data", AccessType::kWrite, "global_b"));               // #

@@ -8,6 +8,7 @@
 
 #include "src/core/importer.h"
 #include "src/core/observations.h"
+#include "src/core/pipeline.h"
 #include "src/db/database.h"
 #include "src/sim/kernel.h"
 
@@ -54,6 +55,15 @@ struct TestWorld {
     Database db;
     Import(&db, std::move(filter));
     return ExtractObservations(db, *registry);
+  }
+
+  // Full import + observation extraction into a snapshot, for analyzers
+  // that run on an AnalysisContext.
+  AnalysisSnapshot Snapshot(FilterConfig filter = FilterConfig::Defaults()) {
+    AnalysisSnapshot snapshot;
+    snapshot.import_stats = Import(&snapshot.db, std::move(filter));
+    snapshot.observations = ExtractObservations(snapshot.db, *registry);
+    return snapshot;
   }
 
   MemberObsKey Key(MemberIndex member) const {

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "src/core/pipeline.h"
+#include "src/core/analysis_context.h"
 #include "tests/core/test_helpers.h"
 
 namespace lockdoc {
@@ -28,12 +28,10 @@ TestWorld MakeBuggyWorld() {
 
 TEST(ViolationFinderTest, FindsTheLocklessWrite) {
   TestWorld world = MakeBuggyWorld();
-  Database db;
-  world.Import(&db);
-  ObservationStore store = ExtractObservations(db, *world.registry);
-  RuleDerivator derivator;
-  std::vector<DerivationResult> rules = derivator.DeriveAll(store);
-  ViolationFinder finder(&db, world.registry.get(), &store);
+  AnalysisSnapshot snapshot = world.Snapshot();
+  AnalysisContext context(&snapshot, world.registry.get());
+  const std::vector<DerivationResult>& rules = context.rules();
+  ViolationFinder finder(context);
   std::vector<Violation> violations = finder.FindAll(rules);
 
   ASSERT_EQ(violations.size(), 1u);
@@ -45,13 +43,11 @@ TEST(ViolationFinderTest, FindsTheLocklessWrite) {
 
 TEST(ViolationFinderTest, ExamplesCarryContext) {
   TestWorld world = MakeBuggyWorld();
-  Database db;
-  world.Import(&db);
-  ObservationStore store = ExtractObservations(db, *world.registry);
-  RuleDerivator derivator;
-  std::vector<DerivationResult> rules = derivator.DeriveAll(store);
-  ViolationFinder finder(&db, world.registry.get(), &store);
-  auto examples = finder.Examples(finder.FindAll(rules), 10);
+  AnalysisSnapshot snapshot = world.Snapshot();
+  AnalysisContext context(&snapshot, world.registry.get());
+  const std::vector<DerivationResult>& rules = context.rules();
+  ViolationFinder finder(context);
+  std::vector<CexGroupData> examples = finder.Forensics(finder.FindAll(rules), 10).groups;
 
   ASSERT_EQ(examples.size(), 1u);
   EXPECT_EQ(examples[0].member, "widget.data");
@@ -60,14 +56,38 @@ TEST(ViolationFinderTest, ExamplesCarryContext) {
   EXPECT_EQ(examples[0].events, 1u);
 }
 
+TEST(ViolationFinderTest, UninternedWinnerViolatesEveryGroup) {
+  TestWorld world = MakeBuggyWorld();
+  AnalysisSnapshot snapshot = world.Snapshot();
+  AnalysisContext context(&snapshot, world.registry.get());
+  // A hand-built winner naming a lock class the trace never acquired: no
+  // observation can comply, so every write group is a violation.
+  DerivationResult result;
+  result.key = world.Key(world.data);
+  result.access = AccessType::kWrite;
+  result.total = snapshot.observations.CountObservations(result.key, AccessType::kWrite);
+  Hypothesis winner;
+  winner.locks = ParseLockSeq("global_b").value();
+  winner.sr = 0.5;
+  result.winner = winner;
+  ViolationFinder finder(context);
+  std::vector<Violation> violations = finder.FindAll({result});
+
+  ASSERT_EQ(violations.size(), result.total);
+  size_t events = 0;
+  for (const Violation& violation : violations) {
+    EXPECT_EQ(LockSeqToString(violation.rule), "global_b");
+    events += violation.seqs.size();
+  }
+  EXPECT_EQ(events, 20u);
+}
+
 TEST(ViolationFinderTest, SummaryCountsEventsMembersContexts) {
   TestWorld world = MakeBuggyWorld();
-  Database db;
-  world.Import(&db);
-  ObservationStore store = ExtractObservations(db, *world.registry);
-  RuleDerivator derivator;
-  std::vector<DerivationResult> rules = derivator.DeriveAll(store);
-  ViolationFinder finder(&db, world.registry.get(), &store);
+  AnalysisSnapshot snapshot = world.Snapshot();
+  AnalysisContext context(&snapshot, world.registry.get());
+  const std::vector<DerivationResult>& rules = context.rules();
+  ViolationFinder finder(context);
   auto summary = finder.Summarize(finder.FindAll(rules));
 
   ASSERT_EQ(summary.size(), 1u);
@@ -89,12 +109,10 @@ TEST(ViolationFinderTest, CleanWorldHasZeroViolationsButSummaryRow) {
     }
     world.sim->Destroy(obj, 5);
   }
-  Database db;
-  world.Import(&db);
-  ObservationStore store = ExtractObservations(db, *world.registry);
-  RuleDerivator derivator;
-  std::vector<DerivationResult> rules = derivator.DeriveAll(store);
-  ViolationFinder finder(&db, world.registry.get(), &store);
+  AnalysisSnapshot snapshot = world.Snapshot();
+  AnalysisContext context(&snapshot, world.registry.get());
+  const std::vector<DerivationResult>& rules = context.rules();
+  ViolationFinder finder(context);
   std::vector<Violation> violations = finder.FindAll(rules);
   EXPECT_TRUE(violations.empty());
   auto summary = finder.Summarize(violations);
@@ -116,12 +134,10 @@ TEST(ViolationFinderTest, NoLockWinnersCannotBeViolated) {
     }
     world.sim->Destroy(obj, 6);
   }
-  Database db;
-  world.Import(&db);
-  ObservationStore store = ExtractObservations(db, *world.registry);
-  RuleDerivator derivator;
-  std::vector<DerivationResult> rules = derivator.DeriveAll(store);
-  ViolationFinder finder(&db, world.registry.get(), &store);
+  AnalysisSnapshot snapshot = world.Snapshot();
+  AnalysisContext context(&snapshot, world.registry.get());
+  const std::vector<DerivationResult>& rules = context.rules();
+  ViolationFinder finder(context);
   EXPECT_TRUE(finder.FindAll(rules).empty());
 }
 
@@ -143,12 +159,10 @@ TEST(ViolationFinderTest, WoRSuppressedReadsNotCountedAsViolatingEvents) {
     world.sim->UnlockGlobal(world.global_a, 23);
     world.sim->Destroy(obj, 98);
   }
-  Database db;
-  world.Import(&db);
-  ObservationStore store = ExtractObservations(db, *world.registry);
-  RuleDerivator derivator;
-  std::vector<DerivationResult> rules = derivator.DeriveAll(store);
-  ViolationFinder finder(&db, world.registry.get(), &store);
+  AnalysisSnapshot snapshot = world.Snapshot();
+  AnalysisContext context(&snapshot, world.registry.get());
+  const std::vector<DerivationResult>& rules = context.rules();
+  ViolationFinder finder(context);
   std::vector<Violation> violations = finder.FindAll(rules);
   ASSERT_EQ(violations.size(), 1u);
   EXPECT_EQ(violations[0].seqs.size(), 1u);  // The write only.

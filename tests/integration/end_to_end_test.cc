@@ -6,7 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include "src/core/pipeline.h"
+#include "src/core/analysis_context.h"
 #include "src/core/rule_checker.h"
 #include "src/core/violation_finder.h"
 #include "src/db/schema.h"
@@ -27,8 +27,11 @@ class EndToEndTest : public ::testing::Test {
     PipelineOptions options;
     options.filter = VfsKernel::MakeFilterConfig();
     result_ = new PipelineResult(RunPipeline(sim_->trace, *sim_->registry, options));
+    context_ = new AnalysisContext(&result_->snapshot, sim_->registry.get());
   }
   static void TearDownTestSuite() {
+    delete context_;
+    context_ = nullptr;
     delete result_;
     delete sim_;
     result_ = nullptr;
@@ -37,10 +40,12 @@ class EndToEndTest : public ::testing::Test {
 
   static SimulationResult* sim_;
   static PipelineResult* result_;
+  static AnalysisContext* context_;
 };
 
 SimulationResult* EndToEndTest::sim_ = nullptr;
 PipelineResult* EndToEndTest::result_ = nullptr;
+AnalysisContext* EndToEndTest::context_ = nullptr;
 
 TEST_F(EndToEndTest, ArchivedTraceAnalyzesIdentically) {
   std::ostringstream out;
@@ -110,7 +115,7 @@ TEST_F(EndToEndTest, ObservationTotalsConsistentWithSupports) {
 TEST_F(EndToEndTest, DocumentedRulesVerdictsMatchPaperShape) {
   auto rules = RuleSet::ParseText(VfsKernel::DocumentedRulesText());
   ASSERT_TRUE(rules.ok());
-  RuleChecker checker(sim_->registry.get(), &result_->snapshot.observations);
+  RuleChecker checker(*context_);
   auto summaries = RuleChecker::Summarize(checker.CheckAll(rules.value()));
   ASSERT_EQ(summaries.size(), 5u);
   uint64_t documented = 0;
@@ -125,7 +130,7 @@ TEST_F(EndToEndTest, DocumentedRulesVerdictsMatchPaperShape) {
 }
 
 TEST_F(EndToEndTest, ViolationsReferenceRealTraceEvents) {
-  ViolationFinder finder(&result_->snapshot.db, sim_->registry.get(), &result_->snapshot.observations);
+  ViolationFinder finder(*context_);
   std::vector<Violation> violations = finder.FindAll(result_->rules);
   ASSERT_FALSE(violations.empty());
   for (const Violation& violation : violations) {
@@ -139,11 +144,11 @@ TEST_F(EndToEndTest, ViolationsReferenceRealTraceEvents) {
 }
 
 TEST_F(EndToEndTest, KnownInjectedBugsAreFound) {
-  ViolationFinder finder(&result_->snapshot.db, sim_->registry.get(), &result_->snapshot.observations);
-  auto examples = finder.Examples(finder.FindAll(result_->rules), SIZE_MAX);
+  ViolationFinder finder(*context_);
+  ViolationForensics forensics = finder.Forensics(finder.FindAll(result_->rules), SIZE_MAX);
   bool i_hash_at_507 = false;
   bool d_subdirs_rcu = false;
-  for (const ViolationExample& ex : examples) {
+  for (const CexGroupData& ex : forensics.groups) {
     if (ex.location == "fs/inode.c:507" && ex.member.find("i_hash") != std::string::npos) {
       i_hash_at_507 = true;
     }

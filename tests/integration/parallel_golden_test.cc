@@ -16,7 +16,6 @@
 #include "src/core/violation_finder.h"
 #include "src/trace/trace_io.h"
 #include "src/util/string_util.h"
-#include "src/util/thread_pool.h"
 #include "src/vfs/vfs_kernel.h"
 #include "src/workload/workloads.h"
 
@@ -29,7 +28,6 @@ std::string AnalyzeToText(const Trace& trace, const TypeRegistry& registry, size
   options.filter = VfsKernel::MakeFilterConfig();
   options.jobs = jobs;
   PipelineResult result = RunPipeline(trace, registry, options);
-  ThreadPool pool(jobs);
 
   std::string out;
 
@@ -46,8 +44,8 @@ std::string AnalyzeToText(const Trace& trace, const TypeRegistry& registry, size
   // 2. Rule checking against the documented rules.
   auto rules = RuleSet::ParseText(VfsKernel::DocumentedRulesText());
   if (rules.ok()) {
-    RuleChecker checker(&registry, &result.snapshot.observations);
-    for (const RuleCheckResult& r : checker.CheckAll(rules.value(), &pool)) {
+    RuleChecker checker(context);
+    for (const RuleCheckResult& r : checker.CheckAll(rules.value())) {
       out += StrFormat("%s %s sa=%llu total=%llu sr=%.6f\n",
                        std::string(RuleVerdictSymbol(r.verdict)).c_str(),
                        r.rule.ToString().c_str(), static_cast<unsigned long long>(r.sa),
@@ -56,15 +54,15 @@ std::string AnalyzeToText(const Trace& trace, const TypeRegistry& registry, size
   }
 
   // 3. Violations, raw and as rendered examples.
-  ViolationFinder finder(&result.snapshot.db, &registry, &result.snapshot.observations);
-  std::vector<Violation> violations = finder.FindAll(result.rules, &pool);
+  ViolationFinder finder(context);
+  std::vector<Violation> violations = finder.FindAll(result.rules);
   for (const Violation& v : violations) {
     out += StrFormat("violation rule=%s held=%s events=%zu first=%llu\n",
                      LockSeqToString(v.rule).c_str(), LockSeqToString(v.held).c_str(),
                      v.seqs.size(),
                      static_cast<unsigned long long>(v.seqs.empty() ? 0 : v.seqs[0]));
   }
-  for (const ViolationExample& ex : finder.Examples(violations, 25)) {
+  for (const CexGroupData& ex : finder.Forensics(violations, 25).groups) {
     out += StrFormat("example %s [%s] rule=%s held=%s at=%s stack=%s events=%llu\n",
                      ex.member.c_str(), ex.access.c_str(), ex.rule.c_str(), ex.held.c_str(),
                      ex.location.c_str(), ex.stack.c_str(),

@@ -4,7 +4,7 @@
 // mined rules for key members must match the implemented discipline.
 #include <gtest/gtest.h>
 
-#include "src/core/pipeline.h"
+#include "src/core/analysis_context.h"
 #include "src/core/violation_finder.h"
 #include "src/vfs/vfs_kernel.h"
 #include "src/workload/workloads.h"
@@ -25,11 +25,12 @@ PipelineResult RunCleanKernel(SimulationResult* sim_out, size_t ops = 6000) {
 TEST(GroundTruthTest, CleanKernelHasZeroViolations) {
   SimulationResult sim;
   PipelineResult result = RunCleanKernel(&sim);
-  ViolationFinder finder(&result.snapshot.db, sim.registry.get(), &result.snapshot.observations);
+  AnalysisContext context(&result.snapshot, sim.registry.get());
+  ViolationFinder finder(context);
   std::vector<Violation> violations = finder.FindAll(result.rules);
   EXPECT_TRUE(violations.empty());
   if (!violations.empty()) {
-    for (const ViolationExample& ex : finder.Examples(violations, 5)) {
+    for (const CexGroupData& ex : finder.Forensics(violations, 5).groups) {
       ADD_FAILURE() << ex.member << " rule {" << ex.rule << "} held {" << ex.held << "} at "
                     << ex.location;
     }
@@ -103,8 +104,8 @@ TEST(GroundTruthTest, FaultPlanCreatesViolationsCleanPlanDoesNot) {
 
   SimulationResult faulty = SimulateKernelRun(mix, FaultPlan{});
   PipelineResult faulty_result = RunPipeline(faulty.trace, *faulty.registry, options);
-  ViolationFinder faulty_finder(&faulty_result.snapshot.db, faulty.registry.get(),
-                                &faulty_result.snapshot.observations);
+  AnalysisContext faulty_context(&faulty_result.snapshot, faulty.registry.get());
+  ViolationFinder faulty_finder(faulty_context);
   EXPECT_FALSE(faulty_finder.FindAll(faulty_result.rules).empty());
 }
 

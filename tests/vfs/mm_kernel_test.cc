@@ -11,7 +11,7 @@
 
 #include "src/core/importer.h"
 #include "src/core/lock_order.h"
-#include "src/core/pipeline.h"
+#include "src/core/analysis_context.h"
 #include "src/core/rule_checker.h"
 #include "src/core/violation_finder.h"
 #include "src/vfs/vfs_kernel.h"
@@ -52,7 +52,8 @@ TEST(MmKernelTest, CleanRunMatchesDocumentedGroundTruth) {
   PipelineResult result = Analyze(sim);
   auto documented = RuleSet::ParseText(MmKernel::DocumentedRulesText());
   ASSERT_TRUE(documented.ok());
-  RuleChecker checker(sim.registry.get(), &result.snapshot.observations);
+  AnalysisContext context(&result.snapshot, sim.registry.get());
+  RuleChecker checker(context);
   std::vector<RuleCheckResult> checks = checker.CheckAll(documented.value());
   size_t observed = 0;
   for (const RuleCheckResult& check : checks) {
@@ -70,8 +71,8 @@ TEST(MmKernelTest, CleanRunMatchesDocumentedGroundTruth) {
 TEST(MmKernelTest, CleanRunHasNoViolations) {
   SimulationResult sim = RunMm(3000, 7, FaultPlan::Clean());
   PipelineResult result = Analyze(sim);
-  ViolationFinder finder(&result.snapshot.db, sim.registry.get(),
-                         &result.snapshot.observations);
+  AnalysisContext context(&result.snapshot, sim.registry.get());
+  ViolationFinder finder(context);
   std::vector<Violation> violations = finder.FindAll(result.rules);
   // Overlap-aware derivation must not flag disjoint-span holds (mremap's
   // two simultaneous holds, page-granular faults) as violations.
@@ -83,8 +84,8 @@ TEST(MmKernelTest, SeededNonOverlapWriteIsCaught) {
   plan.mmap_nonoverlap_write = true;
   SimulationResult sim = RunMm(4000, 7, plan);
   PipelineResult result = Analyze(sim);
-  ViolationFinder finder(&result.snapshot.db, sim.registry.get(),
-                         &result.snapshot.observations);
+  AnalysisContext context(&result.snapshot, sim.registry.get());
+  ViolationFinder finder(context);
   std::vector<Violation> violations = finder.FindAll(result.rules);
   ASSERT_FALSE(violations.empty());
   // The bug writes vm_flags of a vma the held span does not overlap: a

@@ -3,7 +3,7 @@
 // and the zero-violation populations (Tab. 7) have to come out identical.
 #include <gtest/gtest.h>
 
-#include "src/core/pipeline.h"
+#include "src/core/analysis_context.h"
 #include "src/core/rule_checker.h"
 #include "src/core/violation_finder.h"
 #include "src/vfs/vfs_kernel.h"
@@ -26,7 +26,8 @@ TEST_P(SeedStabilityTest, Tab4VerdictsAndCleanTypesAreSeedIndependent) {
   // Tab. 4 verdict counts for struct inode (the paper's headline row).
   auto rules = RuleSet::ParseText(VfsKernel::DocumentedRulesText());
   ASSERT_TRUE(rules.ok());
-  RuleChecker checker(sim.registry.get(), &result.snapshot.observations);
+  AnalysisContext context(&result.snapshot, sim.registry.get());
+  RuleChecker checker(context);
   auto summaries = RuleChecker::Summarize(checker.CheckAll(rules.value()));
   for (const RuleCheckSummary& summary : summaries) {
     if (summary.type_name == "inode") {
@@ -43,7 +44,7 @@ TEST_P(SeedStabilityTest, Tab4VerdictsAndCleanTypesAreSeedIndependent) {
   }
 
   // Tab. 7's violation-free populations stay violation-free.
-  ViolationFinder finder(&result.snapshot.db, sim.registry.get(), &result.snapshot.observations);
+  ViolationFinder finder(context);
   auto rows = finder.Summarize(finder.FindAll(result.rules));
   for (const ViolationSummaryRow& row : rows) {
     for (const char* clean :
