@@ -343,11 +343,7 @@ std::vector<DerivationResult> RuleDerivator::DeriveAll(const ObservationStore& s
                                   items[i].observed, items[i].total, ranks);
     }
   };
-  if (pool != nullptr) {
-    pool->ParallelFor(items.size(), derive_range);
-  } else {
-    derive_range(0, items.size());
-  }
+  ParallelFor(pool, items.size(), derive_range);
 
   std::vector<DerivationResult> results;
   for (DerivationResult& result : slots) {

@@ -415,11 +415,7 @@ ImportStats TraceImporter::Import(const Trace& trace, Database* db, ThreadPool* 
       std::lock_guard<std::mutex> guard(kept_mu);
       kept_per_chunk.push_back(kept);
     };
-    if (pool != nullptr) {
-      pool->ParallelFor(n, fill);
-    } else {
-      fill(0, n);
-    }
+    ParallelFor(pool, n, fill);
     for (uint64_t kept : kept_per_chunk) {
       stats.accesses_kept += kept;
     }

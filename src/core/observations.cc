@@ -510,11 +510,7 @@ ObservationStore ExtractObservations(const Database& db, const TypeRegistry& reg
       classified[i] = std::move(seq);
     }
   };
-  if (pool != nullptr) {
-    pool->ParallelFor(tasks.size(), classify_range);
-  } else {
-    classify_range(0, tasks.size());
-  }
+  ParallelFor(pool, tasks.size(), classify_range);
 
   // --- Pass 3 (serial): intern in task order, then patch group ids. ---
   std::vector<uint32_t> task_seq_id(tasks.size());

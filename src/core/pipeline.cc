@@ -85,16 +85,21 @@ AnalysisSnapshot ImportDatabase(const Trace& trace, const TypeRegistry& registry
   return snapshot;
 }
 
+void ExtractSnapshotObservations(AnalysisSnapshot* snapshot, const TypeRegistry& registry,
+                                 ThreadPool* pool, PipelineTimings* timings) {
+  auto t0 = Clock::now();
+  snapshot->observations = ExtractObservations(snapshot->db, registry, pool);
+  if (timings != nullptr) {
+    timings->Add("observation extraction", Seconds(t0, Clock::now()),
+                 snapshot->import_stats.accesses_kept);
+  }
+}
+
 AnalysisSnapshot BuildSnapshot(const Trace& trace, const TypeRegistry& registry,
                                const PipelineOptions& options, PipelineTimings* timings) {
   ThreadPool pool(options.jobs);
   AnalysisSnapshot snapshot = ImportDatabase(trace, registry, options, &pool, timings);
-  auto t1 = Clock::now();
-  snapshot.observations = ExtractObservations(snapshot.db, registry, &pool);
-  if (timings != nullptr) {
-    timings->Add("observation extraction", Seconds(t1, Clock::now()),
-                 snapshot.import_stats.accesses_kept);
-  }
+  ExtractSnapshotObservations(&snapshot, registry, &pool, timings);
   return snapshot;
 }
 

@@ -123,6 +123,12 @@ AnalysisSnapshot ImportDatabase(const Trace& trace, const TypeRegistry& registry
                                 const PipelineOptions& options, ThreadPool* pool,
                                 PipelineTimings* timings = nullptr);
 
+// The extraction half of stage 1: folds `snapshot->db` into
+// `snapshot->observations` on `pool` and appends the "observation
+// extraction" phase. BuildSnapshot and BuildAndSaveSnapshot both end here.
+void ExtractSnapshotObservations(AnalysisSnapshot* snapshot, const TypeRegistry& registry,
+                                 ThreadPool* pool, PipelineTimings* timings = nullptr);
+
 // Stage 1 (ingest): database import + observation extraction. Appends the
 // "database import" and "observation extraction" phases to `timings` when
 // given. `registry` must outlive the snapshot (member/type names for lock

@@ -493,17 +493,11 @@ std::string SerializeSnapshot(const AnalysisSnapshot& snapshot, const TypeRegist
   // Section payloads are independent, so they encode in parallel; the
   // container assembly below stays serial and deterministic.
   std::vector<std::string> payloads(order.size());
-  if (options.pool != nullptr) {
-    options.pool->ParallelFor(order.size(), [&](size_t begin, size_t end) {
-      for (size_t i = begin; i < end; ++i) {
-        payloads[i] = order[i].encode();
-      }
-    });
-  } else {
-    for (size_t i = 0; i < order.size(); ++i) {
+  ParallelFor(options.pool, order.size(), [&](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
       payloads[i] = order[i].encode();
     }
-  }
+  });
   SnapshotWriter writer;
   writer.set_crc_pool(options.pool);
   size_t framed = 0;
@@ -571,6 +565,21 @@ Result<uint64_t> PeekSnapshotTypeCountFromBytes(std::string_view bytes) {
   return type_count;
 }
 
+bool TraceNeedsExtendedRegistry(const Trace& trace, size_t base_type_count) {
+  for (const TraceEvent& e : trace.events()) {
+    if (e.has_range ||
+        (e.kind == EventKind::kAlloc && e.type != kInvalidTypeId && e.type >= base_type_count)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+bool TypeCountNeedsExtendedRegistry(const Result<uint64_t>& type_count,
+                                    size_t base_type_count) {
+  return type_count.ok() && type_count.value() > base_type_count;
+}
+
 Result<AnalysisSnapshot> BuildAndSaveSnapshot(const Trace& trace, const TypeRegistry& registry,
                                               const PipelineOptions& options,
                                               const std::string& path,
@@ -582,7 +591,6 @@ Result<AnalysisSnapshot> BuildAndSaveSnapshot(const Trace& trace, const TypeRegi
 
   ThreadPool pool(options.jobs);
   AnalysisSnapshot snapshot = ImportDatabase(trace, registry, options, &pool, timings);
-  auto t1 = Clock::now();
 
   AtomicFileWriter file;
   Status io = file.Open(path);
@@ -624,12 +632,8 @@ Result<AnalysisSnapshot> BuildAndSaveSnapshot(const Trace& trace, const TypeRegi
     head_thread = std::thread(write_head);
   }
 
-  snapshot.observations = ExtractObservations(snapshot.db, registry, &pool);
+  ExtractSnapshotObservations(&snapshot, registry, &pool, timings);
   auto t2 = Clock::now();
-  if (timings != nullptr) {
-    timings->Add("observation extraction", seconds(t1, t2),
-                 snapshot.import_stats.accesses_kept);
-  }
 
   if (overlap) {
     head_thread.join();

@@ -76,6 +76,16 @@ Result<AnalysisSnapshot> DeserializeSnapshot(std::string_view bytes,
 Result<uint64_t> PeekSnapshotTypeCount(const std::string& path);
 Result<uint64_t> PeekSnapshotTypeCountFromBytes(std::string_view bytes);
 
+// The registry choice for an input, shared by the CLI and serve: an input
+// needs a registry extended past the first `base_type_count` types when it
+// references one of the extra types. A trace does when it allocates such a
+// type or carries a ranged event (only the extended workload emits ranges).
+bool TraceNeedsExtendedRegistry(const Trace& trace, size_t base_type_count);
+// A snapshot does when its peeked type count exceeds the base. A failed
+// peek counts as base: the load that follows reports the typed error.
+bool TypeCountNeedsExtendedRegistry(const Result<uint64_t>& type_count,
+                                    size_t base_type_count);
+
 // Ingest + persist in one overlapped pass: imports `trace` (ImportDatabase,
 // as BuildSnapshot does), then streams
 // the meta/strings/table sections of the .lockdb file to disk on a writer

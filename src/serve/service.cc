@@ -142,31 +142,17 @@ ServeService::ServeService(const SpoolLayout& layout, const TypeRegistry* regist
       scheduler_(std::make_unique<RequestScheduler>(options_.workers)) {}
 
 const TypeRegistry* ServeService::RegistryForTrace(const Trace& trace) const {
-  if (extended_registry_ == nullptr) {
-    return registry_;
-  }
-  for (const TraceEvent& e : trace.events()) {
-    if (e.has_range) {
-      return extended_registry_;
-    }
-    if (e.kind == EventKind::kAlloc && e.type != kInvalidTypeId &&
-        e.type >= registry_->type_count()) {
-      return extended_registry_;
-    }
-  }
-  return registry_;
+  return extended_registry_ != nullptr &&
+                 TraceNeedsExtendedRegistry(trace, registry_->type_count())
+             ? extended_registry_
+             : registry_;
 }
 
-const TypeRegistry* ServeService::RegistryForSnapshotBytes(std::string_view bytes) const {
-  if (extended_registry_ == nullptr) {
-    return registry_;
-  }
-  auto type_count = PeekSnapshotTypeCountFromBytes(bytes);
-  if (type_count.ok() && type_count.value() == extended_registry_->type_count() &&
-      type_count.value() != registry_->type_count()) {
-    return extended_registry_;
-  }
-  return registry_;
+const TypeRegistry* ServeService::RegistryForTypeCount(const Result<uint64_t>& type_count) const {
+  return extended_registry_ != nullptr &&
+                 TypeCountNeedsExtendedRegistry(type_count, registry_->type_count())
+             ? extended_registry_
+             : registry_;
 }
 
 ServeService::~ServeService() = default;
@@ -398,7 +384,8 @@ bool ServeService::IngestOne(const std::string& source, uint32_t attempts) {
   if (LooksLikeSnapshot(bytes.value())) {
     // Pre-imported .lockdb: validate fully before publication so a damaged
     // snapshot never enters the resident store.
-    auto snapshot = DeserializeSnapshot(bytes.value(), *RegistryForSnapshotBytes(bytes.value()));
+    auto snapshot = DeserializeSnapshot(
+        bytes.value(), *RegistryForTypeCount(PeekSnapshotTypeCountFromBytes(bytes.value())));
     if (!snapshot.ok()) {
       if (SnapshotContainerVersion(bytes.value()) == 1) {
         return QuarantineIncoming(source, name, "retired-snapshot",
@@ -763,14 +750,7 @@ void ServeService::LoadResident(const std::shared_ptr<Resident>& resident) {
   // Zero-copy load: snapshots keep their table columns in the mapping.
   // Payload CRCs are verified during the load (the SnapshotLoadOptions
   // default) — the no-wrong-answer invariant does not bend for speed.
-  const TypeRegistry* registry = registry_;
-  if (extended_registry_ != nullptr) {
-    auto type_count = PeekSnapshotTypeCount(path);
-    if (type_count.ok() && type_count.value() == extended_registry_->type_count() &&
-        type_count.value() != registry_->type_count()) {
-      registry = extended_registry_;
-    }
-  }
+  const TypeRegistry* registry = RegistryForTypeCount(PeekSnapshotTypeCount(path));
   auto snapshot = LoadSnapshot(path, *registry);
   if (!snapshot.ok()) {
     resident->load_error =

@@ -236,9 +236,10 @@ class ServeService {
   Result<std::string> ReadSpoolFileWithRetry(const std::string& path);
 
   // Picks the registry an input belongs to (base unless the extended
-  // registry is configured and the input needs it).
+  // registry is configured and the input needs it; see
+  // TraceNeedsExtendedRegistry in src/core/snapshot.h).
   const TypeRegistry* RegistryForTrace(const Trace& trace) const;
-  const TypeRegistry* RegistryForSnapshotBytes(std::string_view bytes) const;
+  const TypeRegistry* RegistryForTypeCount(const Result<uint64_t>& type_count) const;
 
   SpoolLayout layout_;
   const TypeRegistry* registry_;

@@ -8,7 +8,7 @@
 #include <ostream>
 #include <set>
 #include <sstream>
-#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "src/util/crc32.h"
@@ -35,6 +35,9 @@ constexpr uint64_t kMaxFramePayload = 1ull << 30;
 // Defensive cap: no interned string in a sane trace exceeds this.
 constexpr uint64_t kMaxStringSize = 1u << 20;
 constexpr uint64_t kMaxStackFrames = 4096;
+// An event record is at least one byte per varint field; bounds reserves
+// made from a declared count.
+constexpr uint64_t kMinEventRecordBytes = 13;
 // Cap on the placeholder pool built when the string table was lost; the
 // references in CRC-intact event frames can never legitimately exceed it.
 constexpr uint64_t kMaxPlaceholderStrings = 1u << 24;
@@ -335,7 +338,7 @@ Result<Trace> ReadTraceV1(std::string_view bytes, const TraceReadOptions& option
   }
   std::vector<bool> stack_valid(trace.stack_count(), true);
   trace.mutable_events().reserve(
-      std::min<uint64_t>(event_count, in.remaining() / 13 + 1));
+      std::min<uint64_t>(event_count, in.remaining() / kMinEventRecordBytes + 1));
   for (uint64_t i = 0; i < event_count; ++i) {
     size_t record_start = in.pos;
     TraceEvent e;
@@ -352,14 +355,115 @@ Result<Trace> ReadTraceV1(std::string_view bytes, const TraceReadOptions& option
   return std::move(trace);
 }
 
+// --- v2 frame pieces shared by the strict and the salvage walk.
+
+// The CRC covers everything after the marker: type, seq, length, payload.
+bool FrameCrcOk(std::string_view bytes, size_t marker_pos, size_t length) {
+  const char* covered = bytes.data() + marker_pos + sizeof(kTraceFrameMarker);
+  const size_t size = kTraceFrameHeaderSize - sizeof(kTraceFrameMarker) + length;
+  return Crc32(covered, size) == LoadUint32LE(covered + size);
+}
+
+// Byte range of one frame payload within the trace.
+struct Payload {
+  size_t offset = 0;
+  size_t length = 0;
+};
+
+ByteCursor PayloadCursor(std::string_view bytes, Payload p) {
+  return ByteCursor{bytes.data(), p.offset + p.length, p.offset};
+}
+
+// Payload decoders. Each reads one CRC-intact frame payload; the walks
+// differ only in what a failure means (strict: an OffsetError; salvage: the
+// piece is lost).
+
+// The string table must be well formed and start with the empty string.
+bool DecodeStringTable(std::string_view bytes, Payload p, std::vector<std::string>* strings) {
+  ByteCursor c = PayloadCursor(bytes, p);
+  uint64_t count = 0;
+  if (!GetVarint(c, &count) || count > p.length) {
+    return false;
+  }
+  strings->reserve(count);
+  for (uint64_t i = 0; i < count; ++i) {
+    std::string s;
+    if (!GetString(c, &s)) {
+      return false;
+    }
+    strings->push_back(std::move(s));
+  }
+  return !strings->empty() && (*strings)[0].empty();
+}
+
+// String references in the stacks are checked by the caller once the
+// string pool is final.
+bool DecodeStackTable(std::string_view bytes, Payload p, std::vector<CallStack>* stacks) {
+  ByteCursor c = PayloadCursor(bytes, p);
+  uint64_t count = 0;
+  if (!GetVarint(c, &count) || count > p.length) {
+    return false;
+  }
+  stacks->reserve(count);
+  for (uint64_t i = 0; i < count; ++i) {
+    uint64_t frame_count = 0;
+    if (!GetVarint(c, &frame_count) || frame_count > kMaxStackFrames) {
+      return false;
+    }
+    CallStack stack;
+    stack.frames.reserve(frame_count);
+    for (uint64_t f = 0; f < frame_count; ++f) {
+      uint64_t frame = 0;
+      if (!GetVarint(c, &frame) || frame >= UINT32_MAX) {
+        return false;
+      }
+      stack.frames.push_back(static_cast<StringId>(frame));
+    }
+    stacks->push_back(std::move(stack));
+  }
+  return true;
+}
+
+// Outcome of decoding one event frame. The records before the first bad
+// one are kept; `records_lost` counts the ones the frame declared but did
+// not yield (1 when even the count is unreadable).
+struct EventFrameResult {
+  const char* error = nullptr;
+  size_t error_offset = 0;
+  uint64_t records_lost = 0;
+};
+
+// Appends the frame's events to `*events`. String and stack references are
+// left to the caller.
+EventFrameResult DecodeEventFrame(std::string_view bytes, Payload p,
+                                  std::vector<TraceEvent>* events) {
+  ByteCursor c = PayloadCursor(bytes, p);
+  uint64_t count = 0;
+  if (!GetVarint(c, &count) || count > p.length) {
+    return {"malformed event frame", p.offset, 1};
+  }
+  // Only a fresh vector is sized up front: the salvage walk appends every
+  // frame to one vector, where exact reserves would defeat geometric growth.
+  if (events->empty()) {
+    events->reserve(std::min<uint64_t>(count, p.length / kMinEventRecordBytes + 1));
+  }
+  for (uint64_t i = 0; i < count; ++i) {
+    size_t record_start = c.pos;
+    TraceEvent e;
+    if (!GetEvent(c, &e)) {
+      return {"truncated or malformed event", record_start, count - i};
+    }
+    events->push_back(e);
+  }
+  return {};
+}
+
 // --- v2 strict: one serial header walk, then CRC verification and
 // event-frame decoding fanned out over the thread pool (inline when no pool
-// is given). Error behavior is bit-for-bit the serial reader's: every check
-// the serial loop runs *before* a frame's CRC fires immediately during the
-// walk, and every check it runs *after* the CRC is recorded as a pending
-// error that only surfaces if no earlier frame's CRC failed — so the first
-// error the serial reader would report is the one returned, at the same
-// offset, regardless of thread count.
+// is given). The first error in file order wins at any thread count: every
+// check that precedes a frame's CRC fires immediately during the walk, and
+// every check that follows it is recorded as a pending error that only
+// surfaces if no earlier frame's CRC failed.
 Result<Trace> ReadTraceV2Strict(std::string_view bytes, ThreadPool* pool,
                                 TraceReadReport& report) {
   report.format_version = 2;
@@ -369,18 +473,15 @@ Result<Trace> ReadTraceV2Strict(std::string_view bytes, ThreadPool* pool,
 
   struct FrameRef {
     size_t marker_pos = 0;
-    uint8_t type = 0;
-    uint32_t seq = 0;
-    size_t payload_off = 0;
     size_t length = 0;
   };
 
   // --- Phase A: serial header walk (no CRCs). ---
   std::vector<FrameRef> frames;
   std::optional<Status> pending;  // First post-CRC structural error.
-  std::optional<std::pair<size_t, size_t>> strings_frame;  // (payload offset, length)
-  std::optional<std::pair<size_t, size_t>> stacks_frame;
-  std::vector<std::pair<size_t, size_t>> event_frames;
+  std::optional<Payload> strings_frame;
+  std::optional<Payload> stacks_frame;
+  std::vector<Payload> event_frames;
   std::optional<uint64_t> declared_total;
   bool saw_end = false;
   uint32_t expected_seq = 0;
@@ -404,8 +505,9 @@ Result<Trace> ReadTraceV2Strict(std::string_view bytes, ThreadPool* pool,
     }
     size_t payload_off = pos + kHeader;
     size_t frame_end = payload_off + length + kTrailer;
-    frames.push_back({pos, type, seq, payload_off, length});
+    frames.push_back({pos, length});
 
+    // The writer emits strings, stacks, events*, end — strictly in order.
     if (seq != expected_seq) {
       pending = OffsetError(pos, "frame out of sequence");
       break;
@@ -422,16 +524,16 @@ Result<Trace> ReadTraceV2Strict(std::string_view bytes, ThreadPool* pool,
     }
     switch (type) {
       case kFrameStrings:
-        strings_frame = {payload_off, length};
+        strings_frame = Payload{payload_off, length};
         break;
       case kFrameStacks:
-        stacks_frame = {payload_off, length};
+        stacks_frame = Payload{payload_off, length};
         break;
       case kFrameEvents:
-        event_frames.emplace_back(payload_off, length);
+        event_frames.push_back({payload_off, length});
         break;
       case kFrameEnd: {
-        ByteCursor c{bytes.data(), payload_off + length, payload_off};
+        ByteCursor c = PayloadCursor(bytes, {payload_off, length});
         uint64_t total = 0;
         if (!GetVarint(c, &total)) {
           pending = OffsetError(payload_off, "malformed end frame");
@@ -450,22 +552,14 @@ Result<Trace> ReadTraceV2Strict(std::string_view bytes, ThreadPool* pool,
   }
 
   // --- Parallel CRC sweep over every frame the walk admitted (including a
-  // frame whose structural error is pending: its CRC check came first in
-  // the serial order). Earliest failure wins. ---
+  // frame whose structural error is pending: its CRC check comes first in
+  // file order). Earliest failure wins. ---
   std::vector<uint8_t> crc_good(frames.size(), 1);
-  auto crc_body = [&](size_t begin, size_t end) {
+  ParallelFor(pool, frames.size(), [&](size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) {
-      const FrameRef& f = frames[i];
-      uint32_t crc = Crc32(bytes.data() + f.marker_pos + sizeof(kTraceFrameMarker),
-                           kHeader - sizeof(kTraceFrameMarker) + f.length);
-      crc_good[i] = crc == LoadUint32LE(bytes.data() + f.payload_off + f.length) ? 1 : 0;
+      crc_good[i] = FrameCrcOk(bytes, frames[i].marker_pos, frames[i].length) ? 1 : 0;
     }
-  };
-  if (pool != nullptr) {
-    pool->ParallelFor(frames.size(), crc_body);
-  } else {
-    crc_body(0, frames.size());
-  }
+  });
   for (size_t i = 0; i < frames.size(); ++i) {
     if (!crc_good[i]) {
       return OffsetError(frames[i].marker_pos, "frame CRC mismatch");
@@ -486,67 +580,21 @@ Result<Trace> ReadTraceV2Strict(std::string_view bytes, ThreadPool* pool,
     return OffsetError(parse_end, "missing string table");
   }
   std::vector<std::string> strings;
-  {
-    ByteCursor c{bytes.data(), strings_frame->first + strings_frame->second,
-                 strings_frame->first};
-    uint64_t count = 0;
-    bool strings_ok = GetVarint(c, &count) && count <= strings_frame->second;
-    if (strings_ok) {
-      strings.reserve(count);
-      for (uint64_t i = 0; i < count && strings_ok; ++i) {
-        std::string s;
-        strings_ok = GetString(c, &s);
-        if (strings_ok) {
-          strings.push_back(std::move(s));
-        }
-      }
-      strings_ok = strings_ok && !strings.empty() && strings[0].empty();
-    }
-    if (!strings_ok) {
-      return OffsetError(strings_frame->first, "malformed string table");
-    }
+  if (!DecodeStringTable(bytes, *strings_frame, &strings)) {
+    return OffsetError(strings_frame->offset, "malformed string table");
   }
-
   if (!stacks_frame.has_value()) {
     return OffsetError(parse_end, "missing stack table");
   }
   std::vector<CallStack> stacks;
-  {
-    ByteCursor c{bytes.data(), stacks_frame->first + stacks_frame->second,
-                 stacks_frame->first};
-    uint64_t count = 0;
-    bool stacks_ok = GetVarint(c, &count) && count <= stacks_frame->second;
-    if (stacks_ok) {
-      stacks.reserve(count);
-      for (uint64_t i = 0; i < count && stacks_ok; ++i) {
-        uint64_t frame_count = 0;
-        stacks_ok = GetVarint(c, &frame_count) && frame_count <= kMaxStackFrames;
-        if (!stacks_ok) {
-          break;
-        }
-        CallStack stack;
-        stack.frames.reserve(frame_count);
-        for (uint64_t f = 0; f < frame_count && stacks_ok; ++f) {
-          uint64_t frame = 0;
-          stacks_ok = GetVarint(c, &frame) && frame < UINT32_MAX;
-          if (stacks_ok) {
-            stack.frames.push_back(static_cast<StringId>(frame));
-          }
-        }
-        if (stacks_ok) {
-          stacks.push_back(std::move(stack));
-        }
-      }
-    }
-    if (!stacks_ok) {
-      return OffsetError(stacks_frame->first, "malformed stack table");
-    }
+  if (!DecodeStackTable(bytes, *stacks_frame, &stacks)) {
+    return OffsetError(stacks_frame->offset, "malformed stack table");
   }
   const size_t pool_size = strings.size();
   for (const CallStack& stack : stacks) {
     for (StringId frame : stack.frames) {
       if (frame >= pool_size) {
-        return OffsetError(stacks_frame->first, "stack frame references unknown string");
+        return OffsetError(stacks_frame->offset, "stack frame references unknown string");
       }
     }
   }
@@ -554,50 +602,29 @@ Result<Trace> ReadTraceV2Strict(std::string_view bytes, ThreadPool* pool,
   const size_t stack_count = stacks.size();
   struct FrameDecode {
     std::vector<TraceEvent> events;
-    size_t error_offset = 0;
-    const char* error = nullptr;
+    EventFrameResult result;
     // String/stack references are validated during the parallel decode
     // (pool_size and stack_count are fixed by then); decode errors keep
-    // priority over reference errors below, matching the serial order.
+    // priority over reference errors below.
     bool bad_reference = false;
   };
   std::vector<FrameDecode> slots(event_frames.size());
-  auto decode_body = [&](size_t begin, size_t end) {
+  ParallelFor(pool, slots.size(), [&](size_t begin, size_t end) {
     for (size_t j = begin; j < end; ++j) {
-      const auto& [off, len] = event_frames[j];
       FrameDecode& slot = slots[j];
-      ByteCursor c{bytes.data(), off + len, off};
-      uint64_t count = 0;
-      if (!GetVarint(c, &count) || count > len) {
-        slot.error_offset = off;
-        slot.error = "malformed event frame";
-        continue;
-      }
-      slot.events.reserve(count);
-      for (uint64_t i = 0; i < count; ++i) {
-        size_t record_start = c.pos;
-        TraceEvent e;
-        if (!GetEvent(c, &e)) {
-          slot.error_offset = record_start;
-          slot.error = "truncated or malformed event";
-          break;
-        }
+      slot.result = DecodeEventFrame(bytes, event_frames[j], &slot.events);
+      for (const TraceEvent& e : slot.events) {
         if (e.name >= pool_size || e.loc.file >= pool_size ||
             (e.stack != kInvalidStack && e.stack >= stack_count)) {
           slot.bad_reference = true;
+          break;
         }
-        slot.events.push_back(e);
       }
     }
-  };
-  if (pool != nullptr) {
-    pool->ParallelFor(slots.size(), decode_body);
-  } else {
-    decode_body(0, slots.size());
-  }
+  });
   for (const FrameDecode& slot : slots) {
-    if (slot.error != nullptr) {
-      return OffsetError(slot.error_offset, slot.error);
+    if (slot.result.error != nullptr) {
+      return OffsetError(slot.result.error_offset, slot.result.error);
     }
   }
   for (const FrameDecode& slot : slots) {
@@ -633,43 +660,35 @@ Result<Trace> ReadTraceV2Strict(std::string_view bytes, ThreadPool* pool,
   return std::move(trace);
 }
 
-// --- v2 salvage: sequential scan with marker resynchronization.
-Result<Trace> ReadTraceV2(std::string_view bytes, const TraceReadOptions& options,
-                          TraceReadReport& report) {
+// --- v2 salvage: one sequential walk that checks each frame's CRC in place,
+// so a bad frame is skipped by rescanning for the next marker. Intact frames
+// are accepted in any order (sorted by seq before assembly; a repeated seq
+// is a duplicate), and a lost table is reported instead of failing.
+Result<Trace> ReadTraceV2Salvage(std::string_view bytes, TraceReadReport& report) {
   report.format_version = 2;
-  const bool salvage = options.salvage;
   const size_t kHeader = kTraceFrameHeaderSize;
   const size_t kTrailer = kTraceFrameTrailerSize;
   const char* marker = reinterpret_cast<const char*>(kTraceFrameMarker);
 
-  std::optional<std::pair<size_t, size_t>> strings_frame;  // (payload offset, length)
-  std::optional<std::pair<size_t, size_t>> stacks_frame;
-  std::vector<std::tuple<uint32_t, size_t, size_t>> event_frames;  // (seq, offset, length)
+  std::optional<Payload> strings_frame;
+  std::optional<Payload> stacks_frame;
+  std::vector<std::pair<uint32_t, Payload>> event_frames;  // (seq, payload)
   std::optional<uint64_t> declared_total;
   bool saw_end = false;
   std::set<uint32_t> seen_seqs;
-  uint32_t expected_seq = 0;
   size_t pos = sizeof(kMagicV2);
   size_t parse_end = pos;
 
   // --- Phase 1: frame scan. ---
   while (pos < bytes.size()) {
     size_t marker_pos = bytes.find(marker, pos, sizeof(kTraceFrameMarker));
-    if (marker_pos != pos) {
-      if (!salvage) {
-        return OffsetError(pos, "bad frame marker");
-      }
-      if (marker_pos == std::string::npos) {
-        report.bytes_skipped += bytes.size() - pos;
-        break;
-      }
-      report.bytes_skipped += marker_pos - pos;
+    if (marker_pos == std::string::npos) {
+      report.bytes_skipped += bytes.size() - pos;
+      break;
     }
+    report.bytes_skipped += marker_pos - pos;
     if (marker_pos + kHeader + kTrailer > bytes.size()) {
       // Not even a complete header + CRC left: cut mid-frame.
-      if (!salvage) {
-        return OffsetError(marker_pos, "truncated frame");
-      }
       report.truncated = true;
       report.truncation_offset = marker_pos;
       report.bytes_skipped += bytes.size() - marker_pos;
@@ -679,81 +698,51 @@ Result<Trace> ReadTraceV2(std::string_view bytes, const TraceReadOptions& option
     uint32_t seq = LoadUint32LE(bytes.data() + marker_pos + 5);
     uint64_t length = LoadUint32LE(bytes.data() + marker_pos + 9);
     if (length > kMaxFramePayload || marker_pos + kHeader + length + kTrailer > bytes.size()) {
-      if (!salvage) {
-        return OffsetError(marker_pos,
-                           StrFormat("frame length %llu exceeds remaining bytes",
-                                     static_cast<unsigned long long>(length)));
-      }
       // A lying length field (or genuine truncation). Rescan just past this
       // marker: if the rest of the frame is intact, the next marker is real.
       ++report.frames_bad_length;
       pos = marker_pos + sizeof(kTraceFrameMarker);
       continue;
     }
-    uint32_t crc = Crc32(bytes.data() + marker_pos + sizeof(kTraceFrameMarker),
-                         kHeader - sizeof(kTraceFrameMarker) + length);
-    uint32_t stored = LoadUint32LE(bytes.data() + marker_pos + kHeader + length);
-    if (crc != stored) {
-      if (!salvage) {
-        return OffsetError(marker_pos, "frame CRC mismatch");
-      }
+    if (!FrameCrcOk(bytes, marker_pos, length)) {
       ++report.frames_bad_crc;
       pos = marker_pos + sizeof(kTraceFrameMarker);
       continue;
     }
 
     // Intact frame.
-    size_t payload_off = marker_pos + kHeader;
-    size_t frame_end = payload_off + length + kTrailer;
-    if (salvage && !seen_seqs.insert(seq).second) {
+    const Payload payload{marker_pos + kHeader, length};
+    size_t frame_end = payload.offset + length + kTrailer;
+    if (!seen_seqs.insert(seq).second) {
       ++report.frames_duplicate;
       pos = frame_end;
       continue;
     }
     ++report.frames_ok;
-    if (!salvage) {
-      // The writer emits strings, stacks, events*, end — strictly in order.
-      if (seq != expected_seq) {
-        return OffsetError(marker_pos, "frame out of sequence");
-      }
-      ++expected_seq;
-      if (saw_end) {
-        return OffsetError(marker_pos, "frame after end frame");
-      }
-      if ((seq == 0 && type != kFrameStrings) || (seq == 1 && type != kFrameStacks) ||
-          (seq >= 2 && type != kFrameEvents && type != kFrameEnd)) {
-        return OffsetError(marker_pos, "unexpected frame type");
-      }
-    }
     switch (type) {
       case kFrameStrings:
         if (!strings_frame.has_value()) {
-          strings_frame = {payload_off, length};
+          strings_frame = payload;
         }
         break;
       case kFrameStacks:
         if (!stacks_frame.has_value()) {
-          stacks_frame = {payload_off, length};
+          stacks_frame = payload;
         }
         break;
       case kFrameEvents:
-        event_frames.emplace_back(seq, payload_off, length);
+        event_frames.emplace_back(seq, payload);
         break;
       case kFrameEnd: {
-        ByteCursor c{bytes.data(), payload_off + length, payload_off};
+        ByteCursor c = PayloadCursor(bytes, payload);
         uint64_t total = 0;
         if (GetVarint(c, &total)) {
           declared_total = total;
           saw_end = true;
-        } else if (!salvage) {
-          return OffsetError(payload_off, "malformed end frame");
         }
         break;
       }
       default:
-        if (!salvage) {
-          return OffsetError(marker_pos, "unknown frame type");
-        }
         break;  // Intact but unknown: skip (forward compatibility).
     }
     pos = frame_end;
@@ -761,117 +750,33 @@ Result<Trace> ReadTraceV2(std::string_view bytes, const TraceReadOptions& option
   }
 
   if (!saw_end) {
-    if (!salvage) {
-      return OffsetError(parse_end, "missing end frame (truncated trace)");
-    }
     report.truncated = true;
     if (report.truncation_offset == 0) {
       report.truncation_offset = parse_end;
     }
   }
-  if (salvage && report.frames_ok == 0) {
+  if (report.frames_ok == 0) {
     return OffsetError(sizeof(kMagicV2), "no intact frames");
   }
 
   // --- Phase 2: assemble the trace from the intact frames. ---
-
-  // String table.
   std::vector<std::string> strings;
-  bool strings_ok = false;
-  if (strings_frame.has_value()) {
-    ByteCursor c{bytes.data(), strings_frame->first + strings_frame->second,
-                 strings_frame->first};
-    uint64_t count = 0;
-    strings_ok = GetVarint(c, &count) && count <= strings_frame->second;
-    if (strings_ok) {
-      strings.reserve(count);
-      for (uint64_t i = 0; i < count && strings_ok; ++i) {
-        std::string s;
-        strings_ok = GetString(c, &s);
-        if (strings_ok) {
-          strings.push_back(std::move(s));
-        }
-      }
-      strings_ok = strings_ok && !strings.empty() && strings[0].empty();
-    }
-    if (!strings_ok && !salvage) {
-      return OffsetError(strings_frame->first, "malformed string table");
-    }
-  } else if (!salvage) {
-    return OffsetError(parse_end, "missing string table");
-  }
-  if (!strings_ok) {
+  if (!strings_frame.has_value() || !DecodeStringTable(bytes, *strings_frame, &strings)) {
     strings.clear();
     report.string_table_lost = true;
   }
-
-  // Stack table (string references validated after the pool is final).
   std::vector<CallStack> stacks;
-  bool stacks_ok = false;
-  if (stacks_frame.has_value()) {
-    ByteCursor c{bytes.data(), stacks_frame->first + stacks_frame->second,
-                 stacks_frame->first};
-    uint64_t count = 0;
-    stacks_ok = GetVarint(c, &count) && count <= stacks_frame->second;
-    if (stacks_ok) {
-      stacks.reserve(count);
-      for (uint64_t i = 0; i < count && stacks_ok; ++i) {
-        uint64_t frame_count = 0;
-        stacks_ok = GetVarint(c, &frame_count) && frame_count <= kMaxStackFrames;
-        if (!stacks_ok) {
-          break;
-        }
-        CallStack stack;
-        stack.frames.reserve(frame_count);
-        for (uint64_t f = 0; f < frame_count && stacks_ok; ++f) {
-          uint64_t frame = 0;
-          stacks_ok = GetVarint(c, &frame) && frame < UINT32_MAX;
-          if (stacks_ok) {
-            stack.frames.push_back(static_cast<StringId>(frame));
-          }
-        }
-        if (stacks_ok) {
-          stacks.push_back(std::move(stack));
-        }
-      }
-    }
-    if (!stacks_ok && !salvage) {
-      return OffsetError(stacks_frame->first, "malformed stack table");
-    }
-  } else if (!salvage) {
-    return OffsetError(parse_end, "missing stack table");
-  }
-  if (!stacks_ok) {
+  if (!stacks_frame.has_value() || !DecodeStackTable(bytes, *stacks_frame, &stacks)) {
     stacks.clear();
     report.stack_table_lost = true;
   }
 
-  // Event records (in writer order; duplicates were already dropped).
-  std::sort(event_frames.begin(), event_frames.end());
+  // Event records in writer order (duplicates were already dropped).
+  std::sort(event_frames.begin(), event_frames.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
   std::vector<TraceEvent> events;
-  for (const auto& [seq, off, len] : event_frames) {
-    (void)seq;
-    ByteCursor c{bytes.data(), off + len, off};
-    uint64_t count = 0;
-    if (!GetVarint(c, &count) || count > len) {
-      if (!salvage) {
-        return OffsetError(off, "malformed event frame");
-      }
-      ++report.bad_event_records;
-      continue;
-    }
-    for (uint64_t i = 0; i < count; ++i) {
-      size_t record_start = c.pos;
-      TraceEvent e;
-      if (!GetEvent(c, &e)) {
-        if (!salvage) {
-          return OffsetError(record_start, "truncated or malformed event");
-        }
-        report.bad_event_records += count - i;
-        break;
-      }
-      events.push_back(e);
-    }
+  for (const auto& [seq, payload] : event_frames) {
+    report.bad_event_records += DecodeEventFrame(bytes, payload, &events).records_lost;
   }
 
   // Decide the final string pool. When the table was lost, CRC-intact event
@@ -900,16 +805,12 @@ Result<Trace> ReadTraceV2(std::string_view bytes, const TraceReadOptions& option
   }
   const size_t pool_size = strings.size();
 
-  // Validate stack-table string references; a stack with a dangling
-  // reference is dropped (events pointing at it get their reference
-  // cleared below).
+  // A stack with a dangling string reference is dropped; events pointing at
+  // it get their reference cleared below.
   std::vector<bool> stack_valid(stacks.size(), true);
   for (size_t i = 0; i < stacks.size(); ++i) {
     for (StringId frame : stacks[i].frames) {
       if (frame >= pool_size) {
-        if (!salvage) {
-          return OffsetError(stacks_frame->first, "stack frame references unknown string");
-        }
         stack_valid[i] = false;
         stacks[i].frames.clear();
         break;
@@ -921,10 +822,7 @@ Result<Trace> ReadTraceV2(std::string_view bytes, const TraceReadOptions& option
   trace.mutable_string_pool().Reset(std::move(strings));
   trace.ResetStacks(std::move(stacks));
   for (TraceEvent& e : events) {
-    if (!FixupEventRefs(&e, pool_size, stack_valid, salvage, report)) {
-      if (!salvage) {
-        return OffsetError(parse_end, "event references unknown string");
-      }
+    if (!FixupEventRefs(&e, pool_size, stack_valid, /*salvage=*/true, report)) {
       ++report.bad_event_records;
       continue;
     }
@@ -936,12 +834,6 @@ Result<Trace> ReadTraceV2(std::string_view bytes, const TraceReadOptions& option
     report.events_dropped = *declared_total - report.events_salvaged;
   } else {
     report.events_dropped = report.bad_event_records;
-  }
-  if (!salvage && declared_total.has_value() && *declared_total != report.events_salvaged) {
-    return OffsetError(parse_end,
-                       StrFormat("event count mismatch: declared %llu, read %llu",
-                                 static_cast<unsigned long long>(*declared_total),
-                                 static_cast<unsigned long long>(report.events_salvaged)));
   }
   return std::move(trace);
 }
@@ -1014,10 +906,8 @@ Result<Trace> ReadTraceFromBytes(std::string_view bytes, const TraceReadOptions&
     return Status::Error("ReadTrace: offset 0x0: input shorter than magic");
   }
   if (std::memcmp(bytes.data(), kMagicV2, sizeof(kMagicV2)) == 0) {
-    if (!options.salvage) {
-      return ReadTraceV2Strict(bytes, options.pool, rep);
-    }
-    return ReadTraceV2(bytes, options, rep);
+    return options.salvage ? ReadTraceV2Salvage(bytes, rep)
+                           : ReadTraceV2Strict(bytes, options.pool, rep);
   }
   if (std::memcmp(bytes.data(), kMagicV1, sizeof(kMagicV1)) == 0) {
     return ReadTraceV1(bytes, options, rep);

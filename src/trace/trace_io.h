@@ -57,9 +57,10 @@ struct TraceReadOptions {
   // Reading fails only if nothing interpretable survives.
   bool salvage = false;
   // When set, the strict v2 read runs frame CRCs and event-frame decoding
-  // on the pool. Results — the trace and every error message — are
-  // identical to the serial read at any thread count; salvage mode ignores
-  // the pool (resynchronization is inherently sequential).
+  // on the pool; without one the same code runs inline. The trace and
+  // every error message are the same either way and at any thread count.
+  // Salvage mode ignores the pool: its walk checks each CRC in place to
+  // decide where to resynchronize.
   ThreadPool* pool = nullptr;
 };
 

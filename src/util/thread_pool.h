@@ -80,6 +80,17 @@ class ThreadPool {
   bool stop_ = false;
 };
 
+// Runs body over [0, n) on `pool`, or inline as body(0, n) when `pool` is
+// null, so callers with an optional pool need no branch of their own.
+inline void ParallelFor(ThreadPool* pool, size_t n,
+                        const std::function<void(size_t, size_t)>& body) {
+  if (pool != nullptr) {
+    pool->ParallelFor(n, body);
+  } else {
+    body(0, n);
+  }
+}
+
 }  // namespace lockdoc
 
 #endif  // SRC_UTIL_THREAD_POOL_H_

@@ -167,6 +167,20 @@ TEST(SnapshotTest, RegistryShapeMismatchIsRejected) {
   EXPECT_NE(restored.status().message().find("registry"), std::string::npos);
 }
 
+// The CLI and serve share one registry choice: any type count above the
+// base picks the extended registry, and a failed peek picks the base one so
+// the load reports the typed error.
+TEST(SnapshotTest, RegistryChoiceFollowsTypeCount) {
+  EXPECT_FALSE(TypeCountNeedsExtendedRegistry(Status::Error("bad meta"), 11));
+  EXPECT_FALSE(TypeCountNeedsExtendedRegistry(uint64_t{11}, 11));
+  EXPECT_TRUE(TypeCountNeedsExtendedRegistry(uint64_t{12}, 11));
+  EXPECT_TRUE(TypeCountNeedsExtendedRegistry(uint64_t{13}, 11));
+
+  TestWorld world = MakeWorld();
+  EXPECT_FALSE(TraceNeedsExtendedRegistry(world.trace, world.registry->type_count()));
+  EXPECT_TRUE(TraceNeedsExtendedRegistry(world.trace, 0));  // Every alloc is extra.
+}
+
 TEST(SnapshotTest, EveryByteFlipFailsAsStatusNotAbort) {
   TestWorld world = MakeWorld();
   std::string pristine =

@@ -9,6 +9,14 @@
 //      either fails cleanly or flags the damage in its report.
 //   3. Damage is survivable: truncating the tail still derives rules for
 //      everything observed in the surviving prefix.
+//
+// Two further tests pin the reader's exact behavior on every v2 case: the
+// strict read is independent of the thread pool, and every strict error,
+// salvage report and salvaged trace matches testdata/corruption_reads.golden.
+#include <cstdint>
+#include <cstdlib>
+#include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 
@@ -18,6 +26,10 @@
 #include "src/trace/corruptor.h"
 #include "src/trace/trace_io.h"
 #include "src/trace/trace_stats.h"
+#include "src/util/crc32.h"
+#include "src/util/string_util.h"
+#include "src/util/thread_pool.h"
+#include "src/util/varint.h"
 #include "src/workload/workloads.h"
 
 namespace lockdoc {
@@ -133,6 +145,136 @@ INSTANTIATE_TEST_SUITE_P(AllKinds, CorruptionSuite, ::testing::ValuesIn(kAllCorr
                            }
                            return name;
                          });
+
+// Recomputes the CRC of every frame that still parses, so payload damage
+// reaches the table and event decoders instead of stopping at the CRC check.
+std::string Rechecksum(std::string bytes) {
+  const size_t kHeader = kTraceFrameHeaderSize;
+  size_t pos = 8;  // Past the magic.
+  while (pos + kHeader + kTraceFrameTrailerSize <= bytes.size() &&
+         bytes.compare(pos, sizeof(kTraceFrameMarker),
+                       reinterpret_cast<const char*>(kTraceFrameMarker),
+                       sizeof(kTraceFrameMarker)) == 0) {
+    const uint64_t length = LoadUint32LE(bytes.data() + pos + 9);
+    if (pos + kHeader + length + kTraceFrameTrailerSize > bytes.size()) {
+      break;
+    }
+    const uint32_t crc = Crc32(bytes.data() + pos + sizeof(kTraceFrameMarker),
+                               kHeader - sizeof(kTraceFrameMarker) + length);
+    for (size_t i = 0; i < 4; ++i) {
+      bytes[pos + kHeader + length + i] = static_cast<char>(crc >> (8 * i));
+    }
+    pos += kHeader + length + kTraceFrameTrailerSize;
+  }
+  return bytes;
+}
+
+// Calls fn(label, bytes) for every v2 case of the suite (6 kinds x 40
+// seeds, labelled "<kind> <seed>"), then for bit flips and zero runs with
+// their frame CRCs repaired ("<kind>+crc <seed>") so the damage lands in the
+// decoders.
+void ForEachV2Case(const std::function<void(const std::string&, const std::string&)>& fn) {
+  const std::string& clean = GetFixture().v2_bytes;
+  for (CorruptionKind kind : kAllCorruptionKinds) {
+    for (uint64_t seed = 0; seed < 40; ++seed) {
+      fn(std::string(CorruptionKindName(kind)) + " " + std::to_string(seed),
+         CorruptTraceBytes(clean, kind, seed));
+    }
+  }
+  for (CorruptionKind kind : {CorruptionKind::kBitFlip, CorruptionKind::kZeroRun}) {
+    for (uint64_t seed = 0; seed < 40; ++seed) {
+      fn(std::string(CorruptionKindName(kind)) + "+crc " + std::to_string(seed),
+         Rechecksum(CorruptTraceBytes(clean, kind, seed)));
+    }
+  }
+}
+
+// The strict v2 read fans CRCs and event frames out over a pool; its result
+// (the error text, or the trace) must not depend on whether a pool is given.
+TEST(CorruptionReads, StrictReadIsPoolIndependent) {
+  ThreadPool pool(4);
+  TraceReadOptions pooled_options;
+  pooled_options.pool = &pool;
+  ForEachV2Case([&](const std::string& label, const std::string& bytes) {
+    SCOPED_TRACE(label);
+    auto serial = ReadTraceFromBytes(bytes, {}, nullptr);
+    auto pooled = ReadTraceFromBytes(bytes, pooled_options, nullptr);
+    ASSERT_EQ(serial.ok(), pooled.ok());
+    if (!serial.ok()) {
+      EXPECT_EQ(serial.status().ToString(), pooled.status().ToString());
+      return;
+    }
+    std::ostringstream a;
+    std::ostringstream b;
+    WriteTrace(serial.value(), a);
+    WriteTrace(pooled.value(), b);
+    EXPECT_EQ(a.str(), b.str());
+  });
+}
+
+uint64_t Fnv64(const std::string& bytes) {
+  uint64_t hash = 0xcbf29ce484222325ull;
+  for (unsigned char c : bytes) {
+    hash = (hash ^ c) * 0x100000001b3ull;
+  }
+  return hash;
+}
+
+std::string DescribeRead(const Result<Trace>& read, const TraceReadReport& r) {
+  if (!read.ok()) {
+    return "error \"" + read.status().message() + "\"";
+  }
+  std::ostringstream bytes;
+  WriteTrace(read.value(), bytes);
+  return StrFormat(
+      "ok fnv=%016llx v%u size=%llu ok=%llu crc=%llu len=%llu dup=%llu skipped=%llu "
+      "salvaged=%llu dropped=%llu bad=%llu cleared=%llu strings_lost=%d stacks_lost=%d "
+      "truncated=%d at=%llu",
+      static_cast<unsigned long long>(Fnv64(bytes.str())), r.format_version,
+      static_cast<unsigned long long>(r.file_size), static_cast<unsigned long long>(r.frames_ok),
+      static_cast<unsigned long long>(r.frames_bad_crc),
+      static_cast<unsigned long long>(r.frames_bad_length),
+      static_cast<unsigned long long>(r.frames_duplicate),
+      static_cast<unsigned long long>(r.bytes_skipped),
+      static_cast<unsigned long long>(r.events_salvaged),
+      static_cast<unsigned long long>(r.events_dropped),
+      static_cast<unsigned long long>(r.bad_event_records),
+      static_cast<unsigned long long>(r.stack_refs_cleared), r.string_table_lost ? 1 : 0,
+      r.stack_table_lost ? 1 : 0, r.truncated ? 1 : 0,
+      static_cast<unsigned long long>(r.truncation_offset));
+}
+
+// Characterization golden: one line per v2 case with the strict outcome and
+// the salvage outcome (report fields plus an FNV-64 of the salvaged trace
+// re-encoded). Any change to what the reader accepts, reports or recovers
+// shows up here. Regenerate, only for an intended behavior change, by
+// running this binary with LOCKDOC_REGEN_GOLDEN=1.
+TEST(CorruptionReads, MatchGolden) {
+  std::string actual;
+  ForEachV2Case([&](const std::string& label, const std::string& bytes) {
+    TraceReadReport strict_report;
+    auto strict = ReadTraceFromBytes(bytes, {}, &strict_report);
+    TraceReadOptions salvage_options;
+    salvage_options.salvage = true;
+    TraceReadReport salvage_report;
+    auto salvaged = ReadTraceFromBytes(bytes, salvage_options, &salvage_report);
+    actual += label + " | strict " + DescribeRead(strict, strict_report) + " | salvage " +
+              DescribeRead(salvaged, salvage_report) + "\n";
+  });
+
+  const std::string path = std::string(LOCKDOC_TESTDATA_DIR) + "/corruption_reads.golden";
+  if (std::getenv("LOCKDOC_REGEN_GOLDEN") != nullptr) {
+    std::ofstream out(path, std::ios::binary);
+    ASSERT_TRUE(out.is_open());
+    out << actual;
+    GTEST_SKIP() << "regenerated " << path;
+  }
+  std::ifstream in(path, std::ios::binary);
+  ASSERT_TRUE(in.is_open()) << "missing fixture " << path;
+  std::ostringstream golden;
+  golden << in.rdbuf();
+  EXPECT_EQ(actual, golden.str());
+}
 
 // Acceptance scenario: losing the trailing 10% of the archive must still
 // yield derived rules (each with a winner) for the members observed in the

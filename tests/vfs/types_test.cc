@@ -2,6 +2,8 @@
 // population exactly (#M and #Bl columns).
 #include "src/vfs/types.h"
 
+#include <ostream>
+
 #include <gtest/gtest.h>
 
 namespace lockdoc {
@@ -12,6 +14,12 @@ struct TypeExpectation {
   size_t members;   // Paper #M.
   size_t filtered;  // Paper #Bl (locks + atomics + blacklisted).
 };
+
+// Without this, gtest prints the param as its raw bytes, pointer included,
+// and the registered test names change whenever the name literal moves.
+void PrintTo(const TypeExpectation& e, std::ostream* out) {
+  *out << e.name << " (#M " << e.members << ", #Bl " << e.filtered << ")";
+}
 
 class Tab6LayoutTest : public ::testing::TestWithParam<TypeExpectation> {};
 

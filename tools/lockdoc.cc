@@ -148,23 +148,6 @@ struct LoadedTrace {
   Trace trace;
 };
 
-// A trace from the mm (address-space) workload references the extended
-// registry: it allocates types past the base VFS set and/or carries ranged
-// events. Everything else — including every pre-existing archived trace —
-// loads against the base registry, keeping legacy analyses byte-identical.
-bool TraceNeedsMmRegistry(const Trace& trace) {
-  const size_t base_types = VfsBaseTypeCount();
-  for (const TraceEvent& e : trace.events()) {
-    if (e.has_range) {
-      return true;
-    }
-    if (e.kind == EventKind::kAlloc && e.type != kInvalidTypeId && e.type >= base_types) {
-      return true;
-    }
-  }
-  return false;
-}
-
 // True when `registry` is the extended (mm) registry; used to append the mm
 // workload's documented rules without touching the base rule text.
 bool IsMmRegistry(const TypeRegistry& registry) {
@@ -172,14 +155,12 @@ bool IsMmRegistry(const TypeRegistry& registry) {
 }
 
 // Picks the registry matching a .lockdb file by peeking at the recorded
-// type count. Errors fall back to the base registry: LoadSnapshot produces
-// the proper typed error for a damaged file.
+// type count. Every pre-existing archive loads against the base registry,
+// keeping legacy analyses byte-identical.
 std::unique_ptr<TypeRegistry> RegistryForSnapshotFile(const std::string& path, VfsIds* ids) {
-  auto type_count = PeekSnapshotTypeCount(path);
-  if (type_count.ok() && type_count.value() > VfsBaseTypeCount()) {
-    return BuildVfsMmRegistry(ids);
-  }
-  return BuildVfsRegistry(ids);
+  return TypeCountNeedsExtendedRegistry(PeekSnapshotTypeCount(path), VfsBaseTypeCount())
+             ? BuildVfsMmRegistry(ids)
+             : BuildVfsRegistry(ids);
 }
 
 bool LoadTraceFromPath(const std::string& path, const FlagSet& flags, LoadedTrace* out) {
@@ -207,8 +188,9 @@ bool LoadTraceFromPath(const std::string& path, const FlagSet& flags, LoadedTrac
                  static_cast<unsigned long long>(report.events_dropped));
   }
   out->trace = std::move(loaded).value();
-  out->registry = TraceNeedsMmRegistry(out->trace) ? BuildVfsMmRegistry(&out->ids)
-                                                   : BuildVfsRegistry(&out->ids);
+  out->registry = TraceNeedsExtendedRegistry(out->trace, VfsBaseTypeCount())
+                      ? BuildVfsMmRegistry(&out->ids)
+                      : BuildVfsRegistry(&out->ids);
   return true;
 }
 
