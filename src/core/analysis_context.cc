@@ -74,6 +74,43 @@ const LockPostingIndex& AnalysisContext::lock_postings() {
   return *postings_;
 }
 
+const std::vector<ModeReportEntry>& AnalysisContext::mode_entries() {
+  std::call_once(mode_entries_once_, [&] {
+    const std::vector<DerivationResult>& derived = rules();
+    auto t0 = Clock::now();
+    mode_entries_ = ModeAnalyzer(*this).Analyze(derived);
+    timings_->Add("mode analysis", Seconds(t0, Clock::now()), derived.size());
+  });
+  return mode_entries_;
+}
+
+const std::vector<Violation>& AnalysisContext::violations() {
+  std::call_once(violations_once_, [&] {
+    const std::vector<DerivationResult>& derived = rules();
+    auto t0 = Clock::now();
+    violations_ = ViolationFinder(*this).FindAll(derived);
+    timings_->Add("violation finding", Seconds(t0, Clock::now()), derived.size());
+  });
+  return violations_;
+}
+
+Result<std::shared_ptr<const std::vector<RuleCheckResult>>> AnalysisContext::check_results(
+    const std::string& documented_text) {
+  std::lock_guard<std::mutex> lock(check_mu_);
+  if (check_results_ == nullptr || check_text_ != documented_text) {
+    auto documented = RuleSet::ParseText(documented_text);
+    if (!documented.ok()) {
+      return documented.status();
+    }
+    auto t0 = Clock::now();
+    check_results_ = std::make_shared<const std::vector<RuleCheckResult>>(
+        RuleChecker(*this).CheckAll(documented.value()));
+    check_text_ = documented_text;
+    timings_->Add("rule checking", Seconds(t0, Clock::now()), documented.value().size());
+  }
+  return check_results_;
+}
+
 RuleCompliance AnalysisContext::Compliance(const LockSeq& rule) {
   return RuleCompliance(snapshot_->observations, member_access_index(), lock_postings(), rule);
 }

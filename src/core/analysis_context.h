@@ -21,6 +21,12 @@
 // and no matter which consumer triggered construction. Rule derivation is
 // timed into the context's PipelineTimings exactly once, no matter how many
 // passes consume the rules.
+//
+// The phase-3 results several passes share (the mode entries, the
+// violations, the documented-rule check) are memoized the same way, so the
+// report pass only assembles what the modes, violations and check passes
+// already computed, and a warm serve context answers those passes by
+// rendering alone. Each result is timed on the one call that builds it.
 #ifndef SRC_CORE_ANALYSIS_CONTEXT_H_
 #define SRC_CORE_ANALYSIS_CONTEXT_H_
 
@@ -33,8 +39,11 @@
 #include "src/core/derivator.h"
 #include "src/core/filter_config.h"
 #include "src/core/lock_order.h"
+#include "src/core/mode_analysis.h"
 #include "src/core/observations.h"
 #include "src/core/pipeline.h"
+#include "src/core/rule_checker.h"
+#include "src/core/violation_finder.h"
 #include "src/model/type_registry.h"
 #include "src/util/thread_pool.h"
 
@@ -122,6 +131,25 @@ class AnalysisContext {
   // Per-lock-class posting lists over interned sequences.
   const LockPostingIndex& lock_postings();
 
+  // --- Memoized phase-3 results (built on first use, read-only after) ---
+
+  // ModeAnalyzer::Analyze over rules(): every winner naming a lock, in
+  // rules() order. Appends the "mode analysis" phase once.
+  const std::vector<ModeReportEntry>& mode_entries();
+
+  // ViolationFinder::FindAll over rules(). Appends the "violation finding"
+  // phase once. Forensics are not memoized: their limit and blacklist vary
+  // per request, so callers derive them from this list per call.
+  const std::vector<Violation>& violations();
+
+  // RuleChecker::CheckAll over the rules parsed from `documented_text`, or
+  // the parse error (never memoized). One slot, kept for the last text
+  // asked for: a different text replaces it, and callers holding the old
+  // results keep them alive. The CLI and serve ask with one text per
+  // context. Appends the "rule checking" phase on each build.
+  Result<std::shared_ptr<const std::vector<RuleCheckResult>>> check_results(
+      const std::string& documented_text);
+
   // The compliance test of `rule` over this context's observations, on the
   // shared member-access and posting indexes (building them on first use).
   RuleCompliance Compliance(const LockSeq& rule);
@@ -146,6 +174,14 @@ class AnalysisContext {
   std::unique_ptr<MemberAccessIndex> member_access_;
   std::once_flag postings_once_;
   std::unique_ptr<LockPostingIndex> postings_;
+
+  std::once_flag mode_entries_once_;
+  std::vector<ModeReportEntry> mode_entries_;
+  std::once_flag violations_once_;
+  std::vector<Violation> violations_;
+  std::mutex check_mu_;  // Guards the check slot; held while it builds.
+  std::string check_text_;
+  std::shared_ptr<const std::vector<RuleCheckResult>> check_results_;
 };
 
 }  // namespace lockdoc

@@ -1,6 +1,5 @@
 #include "src/core/analysis_pass.h"
 
-#include <chrono>
 #include <filesystem>
 #include <utility>
 
@@ -18,12 +17,6 @@
 namespace lockdoc {
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-double Seconds(Clock::time_point from, Clock::time_point to) {
-  return std::chrono::duration<double>(to - from).count();
-}
-
 // `lockdoc check`: validate documented rules against the observations
 // (paper Tab. 4/5). The documented-rules text is supplied via PassOptions
 // so core stays independent of the simulated kernel.
@@ -36,16 +29,12 @@ class CheckPass : public AnalysisPass {
 
   Status Build(AnalysisContext& context, const PassOptions& opts,
                ReportDocument& doc) const override {
-    auto rules = RuleSet::ParseText(opts.documented_rules_text);
-    if (!rules.ok()) {
-      return rules.status();
+    auto checked = context.check_results(opts.documented_rules_text);
+    if (!checked.ok()) {
+      return checked.status();
     }
-    RuleChecker checker(context);
-    auto t0 = Clock::now();
-    std::vector<RuleCheckResult> checked = checker.CheckAll(rules.value());
-    context.timings().Add("rule checking", Seconds(t0, Clock::now()), rules.value().size());
     ReportSection& section = AddSection(doc, "rule-check");
-    for (const RuleCheckResult& r : checked) {
+    for (const RuleCheckResult& r : *checked.value()) {
       std::string verdict(RuleVerdictSymbol(r.verdict));
       std::string sr = r.total == 0 ? "n/a" : FormatPercent(r.sr);
       ReportNode& node = AddTextNode(
@@ -61,7 +50,7 @@ class CheckPass : public AnalysisPass {
                      {"total", std::to_string(r.total)}};
     }
     AddDecoration(section, "\n");
-    AddCheckSummaryTable(section, "check-summary", RuleChecker::Summarize(checked));
+    AddCheckSummaryTable(section, "check-summary", RuleChecker::Summarize(*checked.value()));
     return Status::Ok();
   }
 };
@@ -148,11 +137,8 @@ class ViolationsPass : public AnalysisPass {
 
   Status Build(AnalysisContext& context, const PassOptions& opts,
                ReportDocument& doc) const override {
-    const std::vector<DerivationResult>& rules = context.rules();
+    const std::vector<Violation>& violations = context.violations();
     ViolationFinder finder(context);
-    auto t0 = Clock::now();
-    std::vector<Violation> violations = finder.FindAll(rules);
-    context.timings().Add("violation finding", Seconds(t0, Clock::now()), rules.size());
 
     ReportSection& section = AddSection(doc, "violations");
     ReportNode& table = AddTable(section, "violation-summary",
@@ -212,18 +198,24 @@ class ModesPass : public AnalysisPass {
 
   Status Build(AnalysisContext& context, const PassOptions& opts,
                ReportDocument& doc) const override {
-    const std::vector<DerivationResult>& rules = context.rules();
     bool all = opts.modes_all;
     ModeAnalyzer analyzer(context);
-    auto entries = all ? analyzer.Analyze(rules) : analyzer.FindSharedModeWrites(rules);
+    std::vector<const ModeReportEntry*> entries;
+    if (all) {
+      for (const ModeReportEntry& entry : context.mode_entries()) {
+        entries.push_back(&entry);
+      }
+    } else {
+      entries = analyzer.FindSharedModeWrites();
+    }
     ReportSection& section = AddSection(doc, "modes");
     if (entries.empty()) {
       AddTextNode(section, "empty",
                   StrFormat("no %s found\n", all ? "lock rules" : "shared-mode writes"));
       return Status::Ok();
     }
-    for (const ModeReportEntry& entry : entries) {
-      analyzer.AddEntryNode(section, entry);
+    for (const ModeReportEntry* entry : entries) {
+      analyzer.AddEntryNode(section, *entry);
     }
     return Status::Ok();
   }

@@ -4,10 +4,10 @@
 // shared AnalysisContext.
 //
 // A pass is a pure rendering of context state: it pulls whatever shared
-// indexes it needs (rules(), member_access_index(), lock_postings(),
-// lock_order_graph()) — each built lazily, at most once per context, no
-// matter how many passes ask — and produces the exact bytes its standalone
-// CLI command prints to stdout. Running N passes through one context
+// indexes and results it needs (rules(), lock_order_graph(),
+// mode_entries(), violations(), check_results(), ...) — each built lazily,
+// at most once per context, no matter how many passes ask — and produces
+// the exact bytes its standalone CLI command prints to stdout. Running N passes through one context
 // therefore loads the snapshot once and derives rules once, while emitting
 // byte-identical output to running the N standalone commands.
 #ifndef SRC_CORE_ANALYSIS_PASS_H_
@@ -47,15 +47,16 @@ class AnalysisPass {
 
   // Runs the pass against `context` with `opts` as the per-run knobs,
   // appending nothing to stdout itself: the pass builds `out.doc` (via
-  // Build) and Run fills `out.text` with its text rendering. Phase timings
-  // (e.g. "rule checking") are appended to context.timings(). An error
-  // status maps to the standalone command's failure path (message to
-  // stderr, exit 1).
+  // Build) and Run fills `out.text` with its text rendering. The context
+  // appends phase timings (e.g. "rule checking") when a result is first
+  // built. An error status maps to the standalone command's failure path
+  // (message to stderr, exit 1).
   //
   // Options are a per-run parameter — not context state — so several
   // requests can run passes over one shared context concurrently, each with
-  // its own knobs (the serve scheduler relies on this; the shared indexes a
-  // pass pulls are option-independent and memoized thread-safely).
+  // its own knobs (the serve scheduler relies on this; the shared indexes
+  // and results a pass pulls are option-independent, or keyed by the one
+  // option they read, and memoized thread-safely).
   Status Run(AnalysisContext& context, const PassOptions& opts, PassOutput& out) const;
 
   // Convenience for single-request callers (CLI, tests): runs with the

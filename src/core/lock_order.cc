@@ -4,34 +4,12 @@
 #include <functional>
 #include <set>
 
+#include "src/core/held_locks.h"
 #include "src/db/schema.h"
 #include "src/util/logging.h"
 #include "src/util/string_util.h"
 
 namespace lockdoc {
-namespace {
-
-// Classifies one lock row without a reference object: static locks by name,
-// embedded locks as EO(member in type).
-LockClass ClassifyAbsolute(const Database& db, const Table& locks, const Table& members,
-                           const TypeRegistry& registry, uint64_t lock_row) {
-  if (locks.GetUint64(lock_row, locks.ColumnIndex("is_static")) != 0) {
-    uint64_t name_sid = locks.GetUint64(lock_row, locks.ColumnIndex("name_sid"));
-    if (name_sid != 0) {
-      return LockClass::Global(db.String(static_cast<StringId>(name_sid)));
-    }
-    return LockClass::Global(StrFormat(
-        "lock@0x%llx",
-        static_cast<unsigned long long>(locks.GetUint64(lock_row, locks.ColumnIndex("addr")))));
-  }
-  uint64_t member_row = locks.GetUint64(lock_row, locks.ColumnIndex("owner_member_id"));
-  TypeId owner_type =
-      static_cast<TypeId>(members.GetUint64(member_row, members.ColumnIndex("type_id")));
-  return LockClass::Other(members.GetString(member_row, members.ColumnIndex("name")),
-                          registry.layout(owner_type).name());
-}
-
-}  // namespace
 
 std::string LockWitness::ToString() const {
   if (!has_range) {
@@ -69,7 +47,6 @@ LockOrderGraph LockOrderGraph::Build(const Database& db, const TypeRegistry& reg
   const Table& txns = db.table(LockDocSchema::kTxns);
   const Table& txn_locks = db.table(LockDocSchema::kTxnLocks);
   const Table& locks = db.table(LockDocSchema::kLocks);
-  const Table& members = db.table(LockDocSchema::kMembers);
 
   const size_t kTlTxn = txn_locks.ColumnIndex("txn_id");
   const size_t kTlPos = txn_locks.ColumnIndex("position");
@@ -93,14 +70,14 @@ LockOrderGraph LockOrderGraph::Build(const Database& db, const TypeRegistry& reg
     kTlrEnd = txn_lock_ranges->ColumnIndex("range_end");
   }
 
-  // Cache of lock row -> class.
+  // Cache of lock row -> class. Without a reference object, an embedded
+  // lock is EO(member in type).
+  const LockClassifier classifier(db, registry);
   std::map<uint64_t, LockClass> class_cache;
   auto class_of = [&](uint64_t lock_row) -> const LockClass& {
     auto it = class_cache.find(lock_row);
     if (it == class_cache.end()) {
-      it = class_cache
-               .emplace(lock_row, ClassifyAbsolute(db, locks, members, registry, lock_row))
-               .first;
+      it = class_cache.emplace(lock_row, classifier.ClassifyScoped(lock_row, false)).first;
     }
     return it->second;
   };

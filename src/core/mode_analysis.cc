@@ -1,5 +1,7 @@
 #include "src/core/mode_analysis.h"
 
+#include <optional>
+
 #include "src/core/analysis_context.h"
 #include "src/core/held_locks.h"
 #include "src/util/string_util.h"
@@ -10,62 +12,71 @@ ModeAnalyzer::ModeAnalyzer(AnalysisContext& context) : context_(context) {}
 
 std::vector<ModeReportEntry> ModeAnalyzer::Analyze(
     const std::vector<DerivationResult>& results) const {
-  std::vector<ModeReportEntry> entries;
-  for (const DerivationResult& result : results) {
-    if (!result.winner.has_value() || result.winner->locks.empty()) {
-      continue;
-    }
-    ModeReportEntry entry;
-    entry.key = result.key;
-    entry.access = result.access;
-    entry.rule = result.winner->locks;
-    entry.usages.resize(entry.rule.size());
-    for (size_t i = 0; i < entry.rule.size(); ++i) {
-      entry.usages[i].lock = entry.rule[i];
-    }
-
-    RuleCompliance compliance = context_.Compliance(entry.rule);
-    compliance.ForEachGroup(result.key, result.access,
-                            [&](const ObservationGroup& group, bool complies) {
-      if (!complies) {
-        return;  // Only complying observations characterize the rule.
+  const ObservationStore& store = context_.observations();
+  const HeldLockIds held_ids =
+      HeldLockIds::Build(context_.db(), context_.registry(), store.pool());
+  // Each result fills its own slot; slots are merged in rule order below.
+  std::vector<std::optional<ModeReportEntry>> slots(results.size());
+  context_.pool().ParallelFor(results.size(), [&](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      const DerivationResult& result = results[i];
+      if (!result.winner.has_value() || result.winner->locks.empty()) {
+        continue;
       }
-      std::vector<HeldLockInfo> held =
-          ClassifyHeldLocks(context_.db(), context_.registry(), group.txn_id, group.alloc_id);
-      // Greedy subsequence match to attribute a mode to each rule lock.
-      size_t rule_pos = 0;
-      for (const HeldLockInfo& h : held) {
-        if (rule_pos == entry.rule.size()) {
-          break;
-        }
-        if (h.lock_class == entry.rule[rule_pos]) {
-          if (h.mode == AcquireMode::kShared) {
-            ++entry.usages[rule_pos].shared;
-          } else {
-            ++entry.usages[rule_pos].exclusive;
+      ModeReportEntry& entry = slots[i].emplace();
+      entry.key = result.key;
+      entry.access = result.access;
+      entry.rule = result.winner->locks;
+      entry.usages.resize(entry.rule.size());
+      for (size_t k = 0; k < entry.rule.size(); ++k) {
+        entry.usages[k].lock = entry.rule[k];
+      }
+
+      // A rule naming a class the pool never interned has no complying
+      // observation, so it keeps all-zero usages.
+      std::optional<IdSeq> rule_ids = store.pool().FindSeq(entry.rule);
+      if (rule_ids.has_value()) {
+        RuleCompliance compliance = context_.Compliance(entry.rule);
+        compliance.ForEachGroup(result.key, result.access,
+                                [&](const ObservationGroup& group, bool complies) {
+          if (!complies) {
+            return;  // Only complying observations characterize the rule.
           }
-          ++rule_pos;
-        }
+          // Greedy subsequence match over every held lock (range holds
+          // included) to attribute a mode to each rule lock.
+          size_t rule_pos = 0;
+          held_ids.ForEachHeld(group.txn_id, group.alloc_id, [&](LockId id, AcquireMode mode) {
+            if (rule_pos < rule_ids->size() && id == (*rule_ids)[rule_pos]) {
+              ModeUsage& usage = entry.usages[rule_pos++];
+              ++(mode == AcquireMode::kShared ? usage.shared : usage.exclusive);
+            }
+          });
+        });
       }
-    });
 
-    if (result.access == AccessType::kWrite) {
       for (const ModeUsage& usage : entry.usages) {
-        if (usage.shared > 0) {
-          entry.suspicious = true;
-        }
+        entry.suspicious |= result.access == AccessType::kWrite && usage.shared > 0;
       }
     }
-    entries.push_back(std::move(entry));
+  });
+
+  std::vector<ModeReportEntry> entries;
+  for (std::optional<ModeReportEntry>& slot : slots) {
+    if (slot.has_value()) {
+      entries.push_back(std::move(*slot));
+    }
   }
   return entries;
 }
 
-std::vector<ModeReportEntry> ModeAnalyzer::FindSharedModeWrites(
-    const std::vector<DerivationResult>& results) const {
-  std::vector<ModeReportEntry> all = Analyze(results);
-  std::erase_if(all, [](const ModeReportEntry& entry) { return !entry.suspicious; });
-  return all;
+std::vector<const ModeReportEntry*> ModeAnalyzer::FindSharedModeWrites() const {
+  std::vector<const ModeReportEntry*> suspicious;
+  for (const ModeReportEntry& entry : context_.mode_entries()) {
+    if (entry.suspicious) {
+      suspicious.push_back(&entry);
+    }
+  }
+  return suspicious;
 }
 
 std::string ModeAnalyzer::RenderEntry(const ModeReportEntry& entry) const {

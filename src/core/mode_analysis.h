@@ -48,13 +48,16 @@ class ModeAnalyzer {
   // `context`, which must outlive the analyzer.
   explicit ModeAnalyzer(AnalysisContext& context);
 
-  // Annotates every derivation result whose winner names at least one
-  // reader/writer-capable lock. Entries are in `results` order.
+  // Annotates every derivation result whose winner names at least one lock.
+  // Entries are in `results` order. Counting runs on interned lock ids
+  // (HeldLockIds), one rule per work item over the context's pool, so the
+  // entries are identical at any thread count. Passes read the memoized
+  // AnalysisContext::mode_entries() instead of calling this.
   std::vector<ModeReportEntry> Analyze(const std::vector<DerivationResult>& results) const;
 
-  // Only the suspicious entries (writes under shared holds).
-  std::vector<ModeReportEntry> FindSharedModeWrites(
-      const std::vector<DerivationResult>& results) const;
+  // The suspicious entries (writes under shared holds) among the context's
+  // memoized mode_entries(), in rule order.
+  std::vector<const ModeReportEntry*> FindSharedModeWrites() const;
 
   // Text rendering of one entry.
   std::string RenderEntry(const ModeReportEntry& entry) const;

@@ -9,9 +9,9 @@
 #include <unordered_map>
 #include <utility>
 
+#include "src/core/held_locks.h"
 #include "src/db/schema.h"
 #include "src/util/logging.h"
-#include "src/util/string_util.h"
 
 namespace lockdoc {
 
@@ -230,41 +230,6 @@ std::string QualifiedMemberName(const TypeRegistry& registry, const MemberObsKey
 
 namespace {
 
-// Resolves one lock instance (a row of the locks table) to its class
-// relative to the accessed allocation.
-LockClass ClassifyLock(const Database& db, const Table& locks, const Table& members,
-                       const TypeRegistry& registry, uint64_t lock_row, uint64_t access_alloc) {
-  const size_t kIsStatic = locks.ColumnIndex("is_static");
-  const size_t kNameSid = locks.ColumnIndex("name_sid");
-  const size_t kAddr = locks.ColumnIndex("addr");
-  const size_t kOwnerAlloc = locks.ColumnIndex("owner_alloc_id");
-  const size_t kOwnerMember = locks.ColumnIndex("owner_member_id");
-
-  if (locks.GetUint64(lock_row, kIsStatic) != 0) {
-    uint64_t name_sid = locks.GetUint64(lock_row, kNameSid);
-    if (name_sid != 0) {
-      return LockClass::Global(db.String(static_cast<StringId>(name_sid)));
-    }
-    return LockClass::Global(
-        StrFormat("lock@0x%llx",
-                  static_cast<unsigned long long>(locks.GetUint64(lock_row, kAddr))));
-  }
-
-  uint64_t member_row = locks.GetUint64(lock_row, kOwnerMember);
-  TypeId owner_type =
-      static_cast<TypeId>(members.GetUint64(member_row, members.ColumnIndex("type_id")));
-  const std::string& lock_name = members.GetString(member_row, members.ColumnIndex("name"));
-  const std::string& type_name = registry.layout(owner_type).name();
-  if (locks.GetUint64(lock_row, kOwnerAlloc) == access_alloc) {
-    return LockClass::Same(lock_name, type_name);
-  }
-  return LockClass::Other(lock_name, type_name);
-}
-
-}  // namespace
-
-namespace {
-
 // Open-group key: one folded observation per (txn, alloc, member_row).
 struct GroupKey {
   uint64_t txn = 0;
@@ -300,7 +265,6 @@ ObservationStore ExtractObservations(const Database& db, const TypeRegistry& reg
   const Table& accesses = db.table(LockDocSchema::kAccesses);
   const Table& allocations = db.table(LockDocSchema::kAllocations);
   const Table& members = db.table(LockDocSchema::kMembers);
-  const Table& locks = db.table(LockDocSchema::kLocks);
   const Table& txns = db.table(LockDocSchema::kTxns);
   const Table& txn_locks = db.table(LockDocSchema::kTxnLocks);
 
@@ -459,6 +423,7 @@ ObservationStore ExtractObservations(const Database& db, const TypeRegistry& reg
   // and write their own slot. Consecutive tasks usually share a
   // transaction, so each chunk keeps a local cache of its lock rows.
   std::vector<LockSeq> classified(tasks.size());
+  const LockClassifier classifier(db, registry);
   struct HeldPosition {
     uint64_t lock_row = 0;
     bool has_range = false;
@@ -505,7 +470,7 @@ ObservationStore ExtractObservations(const Database& db, const TypeRegistry& reg
             !RangesOverlap(held.range_start, held.range_end, span->first, span->second)) {
           continue;  // The hold does not cover this object.
         }
-        seq.push_back(ClassifyLock(db, locks, members, registry, held.lock_row, task.alloc));
+        seq.push_back(classifier.Classify(held.lock_row, task.alloc));
       }
       classified[i] = std::move(seq);
     }

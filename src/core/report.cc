@@ -49,15 +49,14 @@ ReportDocument BuildReportDocument(AnalysisContext& context, const ReportOptions
   if (!options.documented_rules_text.empty()) {
     ReportSection& section =
         AddHeadedSection(doc, "rule-validation", "documented-rule validation");
-    auto rules = RuleSet::ParseText(options.documented_rules_text);
-    if (!rules.ok()) {
+    auto checked = context.check_results(options.documented_rules_text);
+    if (!checked.ok()) {
       ReportNode& node = AddTextNode(
-          section, "parse-error", "rule parse error: " + rules.status().message() + "\n");
-      node.fields = {{"error", rules.status().message()}};
+          section, "parse-error", "rule parse error: " + checked.status().message() + "\n");
+      node.fields = {{"error", checked.status().message()}};
     } else {
-      RuleChecker checker(context);
       AddCheckSummaryTable(section, "validation-summary",
-                           RuleChecker::Summarize(checker.CheckAll(rules.value())));
+                           RuleChecker::Summarize(*checked.value()));
     }
   }
 
@@ -109,8 +108,8 @@ ReportDocument BuildReportDocument(AnalysisContext& context, const ReportOptions
   {
     ReportSection& section =
         AddHeadedSection(doc, "violations", "locking-rule violations");
+    const std::vector<Violation>& violations = context.violations();
     ViolationFinder finder(context);
-    std::vector<Violation> violations = finder.FindAll(derived);
     ReportNode& table = AddTable(section, "violation-summary",
                                  {"Data Type", "Events", "Members", "Contexts"});
     uint64_t total = 0;
@@ -169,12 +168,12 @@ ReportDocument BuildReportDocument(AnalysisContext& context, const ReportOptions
     ReportSection& section =
         AddHeadedSection(doc, "modes", "reader/writer acquisition modes");
     ModeAnalyzer analyzer(context);
-    auto suspicious = analyzer.FindSharedModeWrites(derived);
+    std::vector<const ModeReportEntry*> suspicious = analyzer.FindSharedModeWrites();
     if (suspicious.empty()) {
       AddTextNode(section, "empty", "no writes under merely-shared holds\n");
     }
-    for (const ModeReportEntry& entry : suspicious) {
-      analyzer.AddEntryNode(section, entry);
+    for (const ModeReportEntry* entry : suspicious) {
+      analyzer.AddEntryNode(section, *entry);
     }
   }
 

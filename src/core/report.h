@@ -36,9 +36,11 @@ struct ReportOptions {
 };
 
 // Builds the complete report as a structured document from a shared
-// analysis context: rules, observation indexes, and the lock-order graph
-// all come from (and are memoized in) `context`, so a multi-pass run pays
-// for each at most once. The context must carry a type registry.
+// analysis context: rules, observation indexes, the lock-order graph, the
+// documented-rule check, the violations and the mode entries all come from
+// (and are memoized in) `context`, so a multi-pass run pays for each at most
+// once. Only the forensics are computed per call. The context must carry a
+// type registry.
 ReportDocument BuildReportDocument(AnalysisContext& context,
                                    const ReportOptions& options = {});
 

@@ -113,9 +113,7 @@ void ServeSocketServer::HandleConnection(UniqueFd fd, uint64_t conn_id, Connecti
       meta.ok = false;
       meta.kind = kServeErrorOversized;
       meta.error = frame.error;
-      if (WriteFrame(fd.get(), FormatResponseMeta(meta)).ok()) {
-        WriteFrame(fd.get(), std::string_view());
-      }
+      WriteFrames(fd.get(), {FormatResponseMeta(meta), std::string_view()});
       break;
     }
     if (frame.status != FrameStatus::kOk) {
@@ -127,11 +125,10 @@ void ServeSocketServer::HandleConnection(UniqueFd fd, uint64_t conn_id, Connecti
                                      static_cast<unsigned long long>(conn_id),
                                      static_cast<unsigned long long>(sequence++));
     ServeService::ServeAnswer answer = service_->AnswerFromText(id, frame.payload);
-    if (!WriteFrame(fd.get(), FormatResponseMeta(answer.meta)).ok()) {
-      break;
-    }
-    if (!WriteFrame(fd.get(), answer.meta.ok ? std::string_view(answer.text)
-                                             : std::string_view())
+    // The meta frame and the output frame leave in one write.
+    if (!WriteFrames(fd.get(), {FormatResponseMeta(answer.meta),
+                                answer.meta.ok ? std::string_view(answer.text)
+                                               : std::string_view()})
              .ok()) {
       break;
     }

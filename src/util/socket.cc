@@ -7,9 +7,12 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <array>
 #include <chrono>
+#include <vector>
 
 #include "src/util/string_util.h"
 
@@ -272,34 +275,51 @@ FrameRead ReadFrame(int fd, uint64_t idle_wait_ms, uint64_t deadline_ms,
   return out;
 }
 
-Status WriteFrame(int fd, std::string_view payload) {
-  if (payload.size() > 0xffffffffull) {
-    return Status::Error("frame payload exceeds the 32-bit length prefix");
+Status WriteFrames(int fd, std::initializer_list<std::string_view> payloads) {
+  // Each frame is its 4-byte header plus its payload: two iovec entries.
+  std::vector<std::array<char, 4>> headers(payloads.size());
+  std::vector<iovec> iov;
+  iov.reserve(2 * payloads.size());
+  size_t i = 0;
+  for (std::string_view payload : payloads) {
+    if (payload.size() > 0xffffffffull) {
+      return Status::Error("frame payload exceeds the 32-bit length prefix");
+    }
+    const uint32_t length = static_cast<uint32_t>(payload.size());
+    headers[i] = {static_cast<char>((length >> 24) & 0xff),
+                  static_cast<char>((length >> 16) & 0xff),
+                  static_cast<char>((length >> 8) & 0xff), static_cast<char>(length & 0xff)};
+    iov.push_back({headers[i].data(), headers[i].size()});
+    iov.push_back({const_cast<char*>(payload.data()), payload.size()});
+    ++i;
   }
-  const uint32_t length = static_cast<uint32_t>(payload.size());
-  char header[4] = {static_cast<char>((length >> 24) & 0xff),
-                    static_cast<char>((length >> 16) & 0xff),
-                    static_cast<char>((length >> 8) & 0xff),
-                    static_cast<char>(length & 0xff)};
-  struct Piece {
-    const char* data;
-    size_t size;
-  };
-  const Piece pieces[] = {{header, sizeof(header)}, {payload.data(), payload.size()}};
-  for (const Piece& piece : pieces) {
-    size_t sent = 0;
-    while (sent < piece.size) {
-      ssize_t wrote = ::send(fd, piece.data + sent, piece.size - sent, MSG_NOSIGNAL);
-      if (wrote < 0) {
-        if (errno == EINTR) {
-          continue;
-        }
-        return ErrnoStatus("send");
+  // One sendmsg per attempt; a partial write advances past the bytes sent
+  // and resends the rest.
+  size_t next = 0;
+  while (next < iov.size()) {
+    msghdr msg{};
+    msg.msg_iov = iov.data() + next;
+    msg.msg_iovlen = iov.size() - next;
+    ssize_t wrote = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
+    if (wrote < 0) {
+      if (errno == EINTR) {
+        continue;
       }
-      sent += static_cast<size_t>(wrote);
+      return ErrnoStatus("sendmsg");
+    }
+    size_t sent = static_cast<size_t>(wrote);
+    while (next < iov.size() && sent >= iov[next].iov_len) {
+      sent -= iov[next].iov_len;
+      ++next;
+    }
+    if (sent > 0) {
+      iov[next].iov_base = static_cast<char*>(iov[next].iov_base) + sent;
+      iov[next].iov_len -= sent;
     }
   }
   return Status::Ok();
 }
+
+Status WriteFrame(int fd, std::string_view payload) { return WriteFrames(fd, {payload}); }
 
 }  // namespace lockdoc

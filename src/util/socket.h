@@ -16,6 +16,7 @@
 #define SRC_UTIL_SOCKET_H_
 
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <string_view>
 
@@ -98,8 +99,15 @@ struct FrameRead {
 FrameRead ReadFrame(int fd, uint64_t idle_wait_ms, uint64_t deadline_ms,
                     uint64_t max_payload_bytes);
 
-// Writes one length-prefixed frame (EINTR/partial-write loops,
-// MSG_NOSIGNAL). Frames above 4 GiB - 1 cannot be represented and error.
+// Writes one length-prefixed frame per payload, in order, with one
+// sendmsg over an iovec of headers and payloads (no copy; EINTR and
+// partial-write loops, MSG_NOSIGNAL). Handing the whole message to the
+// kernel at once keeps Nagle's algorithm from holding its tail back until
+// the peer's delayed ACK of its head. Payloads above 4 GiB - 1 cannot be
+// represented and error before anything is sent.
+Status WriteFrames(int fd, std::initializer_list<std::string_view> payloads);
+
+// WriteFrames with one payload.
 Status WriteFrame(int fd, std::string_view payload);
 
 }  // namespace lockdoc

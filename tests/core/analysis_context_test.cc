@@ -1,7 +1,8 @@
-// AnalysisContext and the analysis-pass framework: lazy shared indexes are
-// memoized (built at most once, timed at most once), the one compliance
-// path and the analyzers built on it agree exactly with a brute-force
-// reference, and pass outputs are invariant across thread counts.
+// AnalysisContext and the analysis-pass framework: lazy shared indexes and
+// phase-3 results are memoized (built at most once, timed at most once, also
+// under concurrent first use), the one compliance path and the analyzers
+// built on it agree exactly with a brute-force reference, and pass outputs
+// are invariant across thread counts.
 #include "src/core/analysis_context.h"
 
 #include <gtest/gtest.h>
@@ -30,10 +31,19 @@ class AnalysisContextTest : public ::testing::Test {
     sim_ = new SimulationResult(SimulateKernelRun(mix, FaultPlan{}));
     snapshot_ = new AnalysisSnapshot(
         BuildSnapshot(sim_->trace, *sim_->registry, DefaultOptions().pipeline));
+    // The mm workload's range locks drop non-overlapping holds from the held
+    // sequences.
+    mm_sim_ = new SimulationResult(SimulateMmRun(mix, FaultPlan{}));
+    mm_snapshot_ = new AnalysisSnapshot(
+        BuildSnapshot(mm_sim_->trace, *mm_sim_->registry, DefaultOptions().pipeline));
   }
   static void TearDownTestSuite() {
+    delete mm_snapshot_;
+    delete mm_sim_;
     delete snapshot_;
     delete sim_;
+    mm_snapshot_ = nullptr;
+    mm_sim_ = nullptr;
     snapshot_ = nullptr;
     sim_ = nullptr;
   }
@@ -55,10 +65,14 @@ class AnalysisContextTest : public ::testing::Test {
 
   static SimulationResult* sim_;
   static AnalysisSnapshot* snapshot_;
+  static SimulationResult* mm_sim_;
+  static AnalysisSnapshot* mm_snapshot_;
 };
 
 SimulationResult* AnalysisContextTest::sim_ = nullptr;
 AnalysisSnapshot* AnalysisContextTest::snapshot_ = nullptr;
+SimulationResult* AnalysisContextTest::mm_sim_ = nullptr;
+AnalysisSnapshot* AnalysisContextTest::mm_snapshot_ = nullptr;
 
 TEST_F(AnalysisContextTest, RulesAreMemoizedAndTimedOnce) {
   AnalysisContext context(snapshot_, sim_->registry.get(), DefaultOptions());
@@ -255,15 +269,9 @@ TEST_F(AnalysisContextTest, ComplianceMatchesBruteForceReference) {
   AnalysisContext vfs(snapshot_, sim_->registry.get(), DefaultOptions());
   ExpectComplianceMatchesReference(vfs, VfsKernel::DocumentedRulesText());
 
-  // The mm workload's range locks drop non-overlapping holds from the held
-  // sequences; compliance must see exactly the same sequences.
-  MixOptions mix;
-  mix.ops = 2500;
-  mix.seed = 11;
-  SimulationResult mm_sim = SimulateMmRun(mix, FaultPlan{});
-  AnalysisSnapshot mm_snapshot =
-      BuildSnapshot(mm_sim.trace, *mm_sim.registry, DefaultOptions().pipeline);
-  AnalysisContext mm(&mm_snapshot, mm_sim.registry.get(), DefaultOptions());
+  // Compliance on the mm snapshot must see exactly the range-filtered
+  // sequences.
+  AnalysisContext mm(mm_snapshot_, mm_sim_->registry.get(), DefaultOptions());
   ExpectComplianceMatchesReference(mm, MmKernel::DocumentedRulesText());
 }
 
@@ -341,12 +349,19 @@ TEST_F(AnalysisContextTest, IndexedFinderMatchesPlain) {
   }
 }
 
-TEST_F(AnalysisContextTest, IndexedModesMatchPlain) {
-  AnalysisContext context(snapshot_, sim_->registry.get(), DefaultOptions());
-  const std::vector<DerivationResult>& rules = context.rules();
+// The memoized mode entries of a context at `jobs` against a plain
+// recomputation: the brute-force compliance reference plus a greedy match
+// over the string-classified ClassifyHeldLocks list. Returns how many
+// complying groups held more locks than their observed sequence names.
+size_t ExpectModesMatchPlain(const AnalysisSnapshot& snapshot, const TypeRegistry& registry,
+                             AnalysisOptions options, size_t jobs) {
+  options.pipeline.jobs = jobs;
+  AnalysisContext context(&snapshot, &registry, std::move(options));
   ModeAnalyzer analyzer(context);
+  const ObservationStore& store = snapshot.observations;
+  size_t wider_held = 0;
   std::string expected;
-  for (const DerivationResult& result : rules) {
+  for (const DerivationResult& result : context.rules()) {
     if (!result.winner.has_value() || result.winner->locks.empty()) {
       continue;
     }
@@ -357,16 +372,18 @@ TEST_F(AnalysisContextTest, IndexedModesMatchPlain) {
     for (const LockClass& lock : entry.rule) {
       entry.usages.push_back(ModeUsage{lock});
     }
-    for (const auto& [group, complies] : ReferenceCompliance(
-             snapshot_->observations, result.key, result.access, entry.rule)) {
+    for (const auto& [group, complies] :
+         ReferenceCompliance(store, result.key, result.access, entry.rule)) {
       if (!complies) {
         continue;
       }
+      std::vector<HeldLockInfo> held =
+          ClassifyHeldLocks(snapshot.db, registry, group->txn_id, group->alloc_id);
+      wider_held += held.size() != store.seq(group->lockseq_id).size() ? 1 : 0;
       size_t rule_pos = 0;
-      for (const HeldLockInfo& held : ClassifyHeldLocks(snapshot_->db, *sim_->registry,
-                                                        group->txn_id, group->alloc_id)) {
-        if (rule_pos < entry.rule.size() && held.lock_class == entry.rule[rule_pos]) {
-          ++(held.mode == AcquireMode::kShared ? entry.usages[rule_pos].shared
+      for (const HeldLockInfo& info : held) {
+        if (rule_pos < entry.rule.size() && info.lock_class == entry.rule[rule_pos]) {
+          ++(info.mode == AcquireMode::kShared ? entry.usages[rule_pos].shared
                                                : entry.usages[rule_pos].exclusive);
           ++rule_pos;
         }
@@ -378,11 +395,96 @@ TEST_F(AnalysisContextTest, IndexedModesMatchPlain) {
     expected += analyzer.RenderEntry(entry);
   }
   std::string rendered;
-  for (const ModeReportEntry& entry : analyzer.Analyze(rules)) {
+  for (const ModeReportEntry& entry : context.mode_entries()) {
     rendered += analyzer.RenderEntry(entry);
   }
   EXPECT_FALSE(rendered.empty());
-  EXPECT_EQ(rendered, expected);
+  EXPECT_EQ(rendered, expected) << "jobs=" << jobs;
+  return wider_held;
+}
+
+TEST_F(AnalysisContextTest, IndexedModesMatchPlain) {
+  for (size_t jobs : {1, 2, 8}) {
+    ExpectModesMatchPlain(*snapshot_, *sim_->registry, DefaultOptions(), jobs);
+    // On mm, range holds that extraction dropped from a group's sequence
+    // still count toward its modes.
+    EXPECT_GT(ExpectModesMatchPlain(*mm_snapshot_, *mm_sim_->registry, DefaultOptions(), jobs),
+              0u);
+  }
+}
+
+// Every single-input pass, run twice over one context: each memoized
+// result is built (and timed) once.
+TEST_F(AnalysisContextTest, PassesBuildEachMemoOnce) {
+  AnalysisContext context(snapshot_, sim_->registry.get(), DefaultOptions());
+  for (int round = 0; round < 2; ++round) {
+    for (const auto& pass : PassRegistry::Default().passes()) {
+      if (pass->name() == "diff") {
+        continue;  // Needs a baseline input.
+      }
+      PassOutput out;
+      Status status = pass->Run(context, out);
+      EXPECT_TRUE(status.ok()) << pass->name() << ": " << status.ToString();
+    }
+  }
+  EXPECT_EQ(CountPhase(context.timings(), "mode analysis"), 1u);
+  EXPECT_EQ(CountPhase(context.timings(), "violation finding"), 1u);
+  EXPECT_EQ(CountPhase(context.timings(), "rule checking"), 1u);
+  EXPECT_EQ(CountPhase(context.timings(), "rule derivation (interned)"), 1u);
+}
+
+TEST_F(AnalysisContextTest, CheckResultsKeepOneSlot) {
+  AnalysisContext context(snapshot_, sim_->registry.get(), DefaultOptions());
+  const std::string vfs = VfsKernel::DocumentedRulesText();
+  auto first = context.check_results(vfs);
+  auto again = context.check_results(vfs);
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(first.value().get(), again.value().get());
+  EXPECT_FALSE(first.value()->empty());
+  // Another text replaces the slot; the old results stay valid.
+  auto empty = context.check_results("");
+  ASSERT_TRUE(empty.ok());
+  EXPECT_TRUE(empty.value()->empty());
+  EXPECT_FALSE(first.value()->empty());
+  EXPECT_EQ(CountPhase(context.timings(), "rule checking"), 2u);
+  // A parse error is returned and leaves the slot alone.
+  EXPECT_FALSE(context.check_results("not a rule").ok());
+  auto kept = context.check_results("");
+  ASSERT_TRUE(kept.ok());
+  EXPECT_EQ(kept.value().get(), empty.value().get());
+  EXPECT_EQ(CountPhase(context.timings(), "rule checking"), 2u);
+}
+
+// Passes that share memos, started together on a fresh context, print what
+// a serial run prints.
+TEST_F(AnalysisContextTest, ConcurrentPassesMatchSerial) {
+  const std::vector<std::string> names = {"report", "modes", "violations", "check"};
+  auto run = [&](AnalysisContext& context, const std::string& name) {
+    PassOutput out;
+    Status status = PassRegistry::Default().Find(name)->Run(context, out);
+    EXPECT_TRUE(status.ok()) << name << ": " << status.ToString();
+    return out.text;
+  };
+  AnalysisContext serial_context(snapshot_, sim_->registry.get(), DefaultOptions());
+  std::vector<std::string> serial;
+  for (const std::string& name : names) {
+    serial.push_back(run(serial_context, name));
+  }
+
+  AnalysisContext context(snapshot_, sim_->registry.get(), DefaultOptions());
+  std::vector<std::string> concurrent(names.size());
+  std::vector<std::thread> threads;
+  for (size_t i = 0; i < names.size(); ++i) {
+    threads.emplace_back([&, i] { concurrent[i] = run(context, names[i]); });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  EXPECT_EQ(concurrent, serial);
+  EXPECT_EQ(CountPhase(context.timings(), "mode analysis"), 1u);
+  EXPECT_EQ(CountPhase(context.timings(), "violation finding"), 1u);
+  EXPECT_EQ(CountPhase(context.timings(), "rule checking"), 1u);
 }
 
 TEST_F(AnalysisContextTest, RegistryHasCanonicalPassOrder) {

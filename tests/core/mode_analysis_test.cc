@@ -43,7 +43,7 @@ TEST(ModeAnalysisTest, ExclusiveOnlyWritesAreNotSuspicious) {
   for (const ModeReportEntry& entry : entries) {
     EXPECT_FALSE(entry.suspicious);
   }
-  EXPECT_TRUE(analyzer.FindSharedModeWrites(m.rules).empty());
+  EXPECT_TRUE(analyzer.FindSharedModeWrites().empty());
 }
 
 TEST(ModeAnalysisTest, WriteUnderSharedHoldIsFlagged) {
@@ -66,14 +66,14 @@ TEST(ModeAnalysisTest, WriteUnderSharedHoldIsFlagged) {
   }
   m.Finish();
   ModeAnalyzer analyzer(*m.context);
-  auto suspicious = analyzer.FindSharedModeWrites(m.rules);
+  auto suspicious = analyzer.FindSharedModeWrites();
   ASSERT_EQ(suspicious.size(), 1u);
-  ASSERT_EQ(suspicious[0].usages.size(), 1u);
-  EXPECT_EQ(suspicious[0].usages[0].shared, 1u);
-  EXPECT_EQ(suspicious[0].usages[0].exclusive, 4u);
-  EXPECT_NEAR(suspicious[0].usages[0].shared_fraction(), 0.2, 1e-9);
+  ASSERT_EQ(suspicious[0]->usages.size(), 1u);
+  EXPECT_EQ(suspicious[0]->usages[0].shared, 1u);
+  EXPECT_EQ(suspicious[0]->usages[0].exclusive, 4u);
+  EXPECT_NEAR(suspicious[0]->usages[0].shared_fraction(), 0.2, 1e-9);
 
-  std::string text = analyzer.RenderEntry(suspicious[0]);
+  std::string text = analyzer.RenderEntry(*suspicious[0]);
   EXPECT_NE(text.find("write under shared hold"), std::string::npos);
   EXPECT_NE(text.find("shared=1 exclusive=4"), std::string::npos);
 }

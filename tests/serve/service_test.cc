@@ -5,8 +5,10 @@
 // these tests pin the library-level semantics.
 #include "src/serve/service.h"
 
+#include <sys/socket.h>
 #include <sys/stat.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <string>
@@ -661,6 +663,103 @@ TEST_F(ServeServiceTest, SocketRoundTripMatchesSpoolBytes) {
   out = ReadFrame(conn.value().get(), 10000, 10000, 0);
   ASSERT_EQ(out.status, FrameStatus::kOk);
   EXPECT_TRUE(out.payload.empty());  // Errors never carry response bytes.
+
+  server.Stop();
+}
+
+// The raw bytes of the next `count` frames on `fd`, read past the frame
+// reader so that exactly what the server wrote is checked. Stops early on
+// EOF or after 10 s without data.
+std::string RecvRawFrames(int fd, size_t count) {
+  std::string bytes;
+  auto recv_exact = [&](size_t n) {
+    const size_t target = bytes.size() + n;
+    while (bytes.size() < target) {
+      auto readable = WaitReadable(fd, 10000);
+      if (!readable.ok() || !readable.value()) {
+        return false;
+      }
+      char buffer[4096];
+      ssize_t got = ::recv(fd, buffer, std::min(sizeof(buffer), target - bytes.size()), 0);
+      if (got <= 0) {
+        return false;
+      }
+      bytes.append(buffer, static_cast<size_t>(got));
+    }
+    return true;
+  };
+  for (size_t i = 0; i < count && recv_exact(4); ++i) {
+    const auto* h = reinterpret_cast<const unsigned char*>(bytes.data() + bytes.size() - 4);
+    if (!recv_exact((size_t{h[0]} << 24) | (size_t{h[1]} << 16) | (size_t{h[2]} << 8) | h[3])) {
+      break;
+    }
+  }
+  return bytes;
+}
+
+// The frame lengths of a byte stream of complete frames.
+std::vector<size_t> FrameLengths(const std::string& bytes) {
+  std::vector<size_t> lengths;
+  for (size_t pos = 0; pos + 4 <= bytes.size();) {
+    const auto* h = reinterpret_cast<const unsigned char*>(bytes.data() + pos);
+    lengths.push_back((size_t{h[0]} << 24) | (size_t{h[1]} << 16) | (size_t{h[2]} << 8) | h[3]);
+    pos += 4 + lengths.back();
+  }
+  return lengths;
+}
+
+TEST_F(ServeServiceTest, SocketAnswerIsExactlyTwoFrames) {
+  DropTrace("web.trace");
+  ServeService service(layout_, sim_.registry.get(), options_);
+  ASSERT_TRUE(service.Recover().ok());
+  ASSERT_TRUE(service.ProcessOnce().ok());
+  DropRequest("q", "pass=check\ninput=web\n");
+  ASSERT_TRUE(service.ProcessOnce().ok());
+  auto spool_out = ReadFileToString(layout_.responses_dir + "/q.out");
+  ASSERT_TRUE(spool_out.ok());
+
+  ServeSocketOptions socket_options;
+  socket_options.port = 0;
+  socket_options.max_frame_bytes = 1024;
+  ServeSocketServer server(&service, socket_options);
+  ASSERT_TRUE(server.Start().ok());
+  auto conn = ConnectTcp("127.0.0.1", server.port());
+  ASSERT_TRUE(conn.ok()) << conn.status().ToString();
+  const int fd = conn.value().get();
+
+  // An answer: the meta frame, then the output frame, and nothing more.
+  ASSERT_TRUE(WriteFrame(fd, "pass=check\ninput=web\n").ok());
+  std::string answer = RecvRawFrames(fd, 2);
+  std::vector<size_t> lengths = FrameLengths(answer);
+  ASSERT_EQ(lengths.size(), 2u);
+  EXPECT_EQ(lengths[1], spool_out.value().size());
+  EXPECT_FALSE(spool_out.value().empty());
+  EXPECT_EQ(answer.size(), 8 + lengths[0] + lengths[1]);
+  EXPECT_EQ(answer.substr(8 + lengths[0]), spool_out.value());
+  EXPECT_NE(answer.find("status=ok\n"), std::string::npos);
+
+  // An error: the meta frame and an empty output frame.
+  ASSERT_TRUE(WriteFrame(fd, "pass=nope\ninput=web\n").ok());
+  answer = RecvRawFrames(fd, 2);
+  lengths = FrameLengths(answer);
+  ASSERT_EQ(lengths.size(), 2u);
+  EXPECT_EQ(lengths[1], 0u);
+  EXPECT_EQ(answer.size(), 8 + lengths[0]);
+  EXPECT_NE(answer.find("kind=unknown-pass\n"), std::string::npos);
+  auto more = WaitReadable(fd, 100);
+  ASSERT_TRUE(more.ok());
+  EXPECT_FALSE(more.value());  // No stray bytes after an answer.
+
+  // An oversized announcement: the same two frames, then the server closes.
+  // Only the header is sent; the server never reads a payload.
+  const char header[4] = {0, 0, 8, 0};  // 2048 bytes, over the 1024 limit.
+  ASSERT_EQ(::send(fd, header, sizeof(header), MSG_NOSIGNAL), 4);
+  answer = RecvRawFrames(fd, 3);
+  lengths = FrameLengths(answer);
+  ASSERT_EQ(lengths.size(), 2u);
+  EXPECT_EQ(lengths[1], 0u);
+  EXPECT_EQ(answer.size(), 8 + lengths[0]);
+  EXPECT_NE(answer.find("kind=" + std::string(kServeErrorOversized) + "\n"), std::string::npos);
 
   server.Stop();
 }
